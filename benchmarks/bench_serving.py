@@ -1,8 +1,9 @@
 """Serving-tier load benchmark: latency under load and flood shedding.
 
 Two phases against a real :class:`~repro.serving.AuditServer` (asyncio
-HTTP edge, two inline shard workers, per-shard checkpointed WALs — the
-same configuration ``repro serve --listen`` builds):
+HTTP edge, the one pooled decision worker inline, its checkpointed WAL —
+the configuration ``repro serve --listen`` builds, minus the process
+boundary):
 
 1. sustained load — a small pool of concurrent clients issues audited
    sum queries over HTTP; per-request wall latencies are aggregated to
@@ -11,7 +12,8 @@ same configuration ``repro serve --listen`` builds):
 2. flood — 4x the client pool hammers a rate-limited deployment; the
    edge must shed with 429 + Retry-After, and **every** shed must be
    journalled: the number of 429 responses clients saw is asserted
-   equal to the shard workers' journalled shed count.
+   equal to the journalled ``resource-exhausted`` denials that
+   ``GET /stats`` reports.
 
 The series are written to ``BENCH_serving.json`` (a committed
 artifact).
@@ -36,7 +38,6 @@ from repro.serving.shards import ShardSpec, ShardSupervisor
 from .conftest import run_once
 
 N = 40
-NUM_SHARDS = 2
 SUSTAINED_CLIENTS = 4
 SUSTAINED_REQUESTS = 50          # per client
 FLOOD_CLIENTS = 4 * SUSTAINED_CLIENTS
@@ -50,22 +51,18 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 VALUES = tuple(float(10 + 3 * i) for i in range(N))
 
 
-def _make_specs(root, **overrides):
-    specs = []
-    for i in range(NUM_SHARDS):
-        kwargs = dict(index=i, values=VALUES, low=0.0, high=200.0,
-                      auditor="sum", wal_dir=f"{root}/shard-{i:02d}",
-                      checkpoint_every=64)
-        kwargs.update(overrides)
-        specs.append(ShardSpec(**kwargs))
-    return specs
+def _make_spec(root, **overrides):
+    kwargs = dict(values=VALUES, low=0.0, high=200.0, auditor="sum",
+                  wal_dir=f"{root}/wal", checkpoint_every=64)
+    kwargs.update(overrides)
+    return ShardSpec(**kwargs)
 
 
 class _Server:
     """An AuditServer on a background event-loop thread."""
 
-    def __init__(self, specs):
-        self.supervisor = ShardSupervisor(specs, mode="inline")
+    def __init__(self, spec):
+        self.supervisor = ShardSupervisor(spec, mode="inline")
         self.server = AuditServer(self.supervisor, ServerConfig())
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()
@@ -123,7 +120,7 @@ def _run_pool(server, clients, requests):
 
 def _measure_sustained():
     root = tempfile.mkdtemp()
-    server = _Server(_make_specs(root))
+    server = _Server(_make_spec(root))
     try:
         latencies, statuses, elapsed = _run_pool(
             server, SUSTAINED_CLIENTS, SUSTAINED_REQUESTS)
@@ -148,18 +145,17 @@ def _measure_flood():
     root = tempfile.mkdtemp()
     # a practically non-refilling bucket: FLOOD_BURST admissions per
     # user, everything past that must shed at the edge
-    server = _Server(_make_specs(root, user_rate=0.001,
-                                 user_burst=FLOOD_BURST))
+    server = _Server(_make_spec(root, user_rate=0.001,
+                                user_burst=FLOOD_BURST))
     try:
         _, statuses, elapsed = _run_pool(
             server, FLOOD_CLIENTS, FLOOD_REQUESTS)
         client = server.client()
-        stats = client.stats().payload
+        stats = client.stats().payload["worker"]
     finally:
         server.stop()
     shed_429 = sum(1 for s in statuses if s == 429)
-    journalled = sum(n for shard in stats["shards"]
-                     for n in shard.get("shed", {}).values())
+    journalled = stats["denied_by_reason"].get("resource-exhausted", 0)
     total = FLOOD_CLIENTS * FLOOD_REQUESTS
     return {
         "clients": FLOOD_CLIENTS,
@@ -187,7 +183,7 @@ def _measure_serving():
     return {
         "benchmark": "serving",
         "n": N,
-        "shards": NUM_SHARDS,
+        "workers": 1,
         "p99_bound_ms": P99_BOUND_MS,
         "sustained": sustained,
         "flood": flood,
@@ -205,8 +201,8 @@ def test_serving_latency_and_flood_shedding(benchmark):
          ("latency p50 (ms)", lat["p50"]),
          ("latency p99 (ms)", lat["p99"]),
          ("latency max (ms)", lat["max"])],
-        title=f"HTTP serving under sustained load ({NUM_SHARDS} shards, "
-              f"per-shard WAL, n={N})",
+        title=f"HTTP serving under sustained load (one pooled worker, "
+              f"checkpointed WAL, n={N})",
     ))
     flood = report["flood"]
     print(format_table(

@@ -2,17 +2,20 @@
 """Networked serving demo: the audited database behind a real HTTP API.
 
 Boots the full serving stack in one process — an asyncio HTTP edge in
-front of two shard workers, each owning a checkpointed write-ahead log —
-then walks an audited workload over the wire:
+front of the one pooled decision worker, which owns the dataset's
+checkpointed write-ahead log — then walks an audited workload over the
+wire:
 
 * answers and fail-closed denials over ``POST /query``;
+* two users colluding by differencing: the pooled auditor sees both
+  users' queries, so the completing query is denied no matter who asks;
 * an already-expired client deadline, refused *and journalled* before
   any auditor runs;
 * admission backpressure: a flooding user is shed with ``429`` +
   ``Retry-After``, and the shed itself is a journalled denial;
-* a crash drill: one shard is killed mid-session, clients see ``503``
-  while it replays its WAL, and the restarted shard still remembers
-  every decision — the denial stays denied;
+* a crash drill: the decision worker is killed mid-session, clients see
+  ``503`` while it replays its WAL, and the restarted worker still
+  remembers every decision — the denial stays denied;
 * the live ``GET /events`` audit feed (SSE), tailed concurrently, which
   sees exactly the decisions the server journalled.
 
@@ -28,24 +31,19 @@ import time
 
 from repro.reporting.tables import format_table
 from repro.serving import AuditClient, AuditServer, ServerConfig
-from repro.serving.shards import ShardSpec, ShardSupervisor, shard_for
+from repro.serving.shards import ShardSpec, ShardSupervisor
 
 SALARIES = (52.0, 61.0, 47.0, 88.0, 73.0, 95.0)   # k$, the sensitive column
-NUM_SHARDS = 2
 FLOOD_BURST = 4      # admissions per user before the edge starts shedding
-EXPECTED_EVENTS = 11
+EXPECTED_EVENTS = 13
 
 
 def start_server(root):
-    """Two shard workers with per-shard WALs and a rate-limited edge."""
-    specs = [
-        ShardSpec(index=i, values=SALARIES, low=0.0, high=120.0,
-                  auditor="sum", wal_dir=f"{root}/shard-{i:02d}",
-                  checkpoint_every=32, user_rate=0.001,
-                  user_burst=FLOOD_BURST)
-        for i in range(NUM_SHARDS)
-    ]
-    supervisor = ShardSupervisor(specs, mode="inline", backoff_base=0.05)
+    """One pooled decision worker with its WAL and a rate-limited edge."""
+    spec = ShardSpec(values=SALARIES, low=0.0, high=120.0, auditor="sum",
+                     wal_dir=f"{root}/wal", checkpoint_every=32,
+                     user_rate=0.001, user_burst=FLOOD_BURST)
+    supervisor = ShardSupervisor(spec, mode="inline", backoff_base=0.05)
     server = AuditServer(supervisor, ServerConfig())
     loop = asyncio.new_event_loop()
     ready = threading.Event()
@@ -92,7 +90,16 @@ def main():
     show("alice: the two seniors (narrowing!)",
          client.query("alice", "sum", [0, 1]))
     print("  The third query would pin salary #2 by differencing; the")
-    print("  auditor fails closed and the denial is in the shard's WAL.\n")
+    print("  auditor fails closed and the denial is in the WAL.\n")
+
+    print("== Two users colluding by differencing ==")
+    show("carol: salaries #3-#5",
+         client.query("carol", "sum", [3, 4, 5]))
+    show("dave: salaries #4-#5 (completes #3!)",
+         client.query("dave", "sum", [4, 5]))
+    print("  Each query alone is harmless, but together they pin salary")
+    print("  #3.  One pooled auditor sees every user's queries (paper")
+    print("  §§5, 7), so dave is denied although he never asked before.\n")
 
     print("== Deadline propagation ==")
     show("bob: already-expired deadline",
@@ -102,16 +109,15 @@ def main():
 
     print("== Admission backpressure (flood) ==")
     for i in range(FLOOD_BURST + 2):
-        res = client.query("mallory", "sum", [0, 1, 2, 3])
+        res = client.query("mallory", "sum", range(6))
         if i in (0, FLOOD_BURST, FLOOD_BURST + 1):
             show(f"mallory: request #{i + 1}", res)
     print("  Past the burst the edge sheds with 429; each shed is a")
     print("  journalled RESOURCE_EXHAUSTED denial, not a silent drop.\n")
 
-    print("== Crash drill: kill alice's shard ==")
-    shard = shard_for("alice", NUM_SHARDS)
-    supervisor.crash_shard(shard)
-    show("alice: while the shard is down",
+    print("== Crash drill: kill the decision worker ==")
+    supervisor.crash()
+    show("alice: while the worker is down",
          client.query("alice", "sum", [3, 4, 5]))
     while True:
         res = client.query("alice", "sum", [0, 1])
@@ -119,14 +125,14 @@ def main():
             break
         time.sleep(0.05)
     show("alice: retried after WAL replay", res)
-    print("  The restarted shard replayed its WAL: alice's narrowing")
+    print("  The restarted worker replayed its WAL: alice's narrowing")
     print("  query is *still* denied — history survived the crash.\n")
 
     tail.join(15.0)
     print("== The live audit feed saw every journalled decision ==")
     print(format_table(
-        ["seq", "shard", "user", "members", "denied", "value/reason"],
-        [(e["seq"], e["shard"], e["user"], e["members"], e["denied"],
+        ["seq", "user", "members", "denied", "value/reason"],
+        [(e["seq"], e["user"], e["members"], e["denied"],
           e.get("value") if not e["denied"] else e.get("reason"))
          for e in feed],
         title=f"GET /events ({len(feed)} events, published only after "

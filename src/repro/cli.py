@@ -124,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wal", default=None,
                    help="crash-safe write-ahead audit log file; every "
                         "decision is fsynced before its answer is printed, "
-                        "and an existing log is recovered and replayed")
+                        "and an existing log is recovered and replayed "
+                        "(a directory with --listen or --checkpoint-*)")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    metavar="N",
                    help="with --wal (then a directory): snapshot auditor "
@@ -154,23 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rng seed for the probabilistic auditors")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="serve the audit HTTP API instead of the stdin "
-                        "SQL loop: the frontend is sharded by user id "
-                        "across worker processes, each with its own "
-                        "checkpointed WAL under --wal (see docs/API.md)")
-    p.add_argument("--shards", type=int, default=2, metavar="N",
-                   help="with --listen: number of shard workers")
-    p.add_argument("--shard-mode", choices=["spawn", "inline"],
-                   default="spawn",
-                   help="with --listen: worker isolation (spawn = one "
-                        "process per shard; inline = in-process, for "
-                        "drills and tests)")
+                        "SQL loop: one spawned decision worker runs the "
+                        "pooled auditor for every user (so colluding "
+                        "users cannot difference answers) over the "
+                        "checkpointed WAL directory --wal (see "
+                        "docs/API.md)")
     p.add_argument("--user-rate", type=float, default=None,
                    help="with --listen: per-user sustained queries/second "
                         "admission limit; sheds surface as HTTP 429 and "
                         "are journalled resource-exhausted denials")
     p.add_argument("--max-in-flight", type=int, default=None,
-                   help="with --listen: per-shard bound on concurrently "
-                        "executing audits (beyond it, shed — not queued)")
+                   help="with --listen: bound on concurrently executing "
+                        "audits in the decision worker (beyond it, shed — "
+                        "not queued)")
     p.add_argument("--max-deadline", type=float, default=30.0,
                    help="with --listen: server-side cap in seconds on "
                         "propagated client deadlines (clamps skewed "
@@ -547,8 +544,8 @@ def _cmd_serve(args, stdin=None) -> int:
     if follow and listen:
         return conflict(
             "--follow is incompatible with --listen: the networked "
-            "serving tier shards writable per-shard WALs, while a "
-            "follower is a read-only replica")
+            "serving tier's decision worker appends to a writable WAL, "
+            "while a follower is a read-only replica")
     if follow and args.journal:
         return conflict(
             "--journal requires a journalling auditor; a read-only "
@@ -560,7 +557,7 @@ def _cmd_serve(args, stdin=None) -> int:
     if listen and args.journal:
         return conflict(
             "--journal belongs to the stdin SQL loop; with --listen "
-            "every shard already persists its own WAL (use --wal)")
+            "the decision worker already persists its WAL (use --wal)")
 
     if listen:
         return _serve_http(args)
@@ -647,9 +644,9 @@ def _cmd_serve(args, stdin=None) -> int:
 
 
 def _serve_http(args) -> int:
-    """The ``serve --listen`` path: shard the frontend and serve HTTP."""
+    """The ``serve --listen`` path: one pooled decision worker behind
+    the HTTP edge."""
     import asyncio
-    import os
 
     from .exceptions import ReproError
     from .io import read_records
@@ -679,28 +676,17 @@ def _serve_http(args) -> int:
     if low >= high:
         low, high = low - 1.0, high + 1.0
 
-    num_shards = max(1, getattr(args, "shards", 2) or 1)
-
-    def shard_dir(root, index):
-        return os.path.join(root, f"shard-{index:02d}")
-
-    specs = []
-    for index in range(num_shards):
-        specs.append(ShardSpec(
-            index=index, values=values, low=low, high=high,
-            auditor=args.auditor, seed=args.seed,
-            wal_dir=shard_dir(args.wal, index) if args.wal else None,
-            checkpoint_every=getattr(args, "checkpoint_every", None),
-            checkpoint_bytes=getattr(args, "checkpoint_bytes", None),
-            replicate_to=tuple(
-                shard_dir(root, index)
-                for root in (getattr(args, "replicate_to", None) or ())),
-            user_rate=getattr(args, "user_rate", None),
-            max_in_flight=getattr(args, "max_in_flight", None),
-        ))
+    spec = ShardSpec(
+        values=values, low=low, high=high,
+        auditor=args.auditor, seed=args.seed, wal_dir=args.wal,
+        checkpoint_every=getattr(args, "checkpoint_every", None),
+        checkpoint_bytes=getattr(args, "checkpoint_bytes", None),
+        replicate_to=tuple(getattr(args, "replicate_to", None) or ()),
+        user_rate=getattr(args, "user_rate", None),
+        max_in_flight=getattr(args, "max_in_flight", None),
+    )
     try:
-        supervisor = ShardSupervisor(
-            specs, mode=getattr(args, "shard_mode", "spawn"))
+        supervisor = ShardSupervisor(spec)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}")
         return 2
@@ -714,8 +700,7 @@ def _serve_http(args) -> int:
         server = AuditServer(supervisor, config)
         await server.start()
         print(f"audit API listening on http://{host}:{server.port} "
-              f"({num_shards} shard(s), "
-              f"{getattr(args, 'shard_mode', 'spawn')} mode); "
+              f"(one pooled decision worker); "
               f"POST /query, GET /healthz, /stats, /events")
         await server.serve_forever()
 

@@ -2,10 +2,13 @@
 
 The paper's auditors only matter in production if the path between a
 remote client and the auditor is as fail-closed as the auditor itself.
-This package puts an asyncio HTTP API in front of
-:class:`~repro.sdb.multiuser.MultiUserFrontend`, sharded across
-spawn-safe worker processes by user id, each shard owning its own
-checkpointed write-ahead audit log:
+This package puts an asyncio HTTP API in front of one pooled
+:class:`~repro.sdb.multiuser.MultiUserFrontend` per dataset, run by a
+single spawn-isolated decision worker that owns the dataset's
+checkpointed write-ahead audit log.  There is deliberately no
+user→worker routing: the paper's collusion argument (§§5, 7) needs one
+auditor that sees every user's queries, and splitting the stream lets
+two users difference answers each half would have denied.
 
 * :mod:`repro.serving.protocol` — hand-rolled HTTP/1.1 request/response
   framing over asyncio streams, with torn-body and slow-loris defenses;
@@ -13,7 +16,7 @@ checkpointed write-ahead audit log:
   per-query :class:`~repro.resilience.budget.Budget` and backpressure
   response mapping (429 + ``Retry-After``);
 * :mod:`repro.serving.router` — method/path dispatch;
-* :mod:`repro.serving.shards` — the shard workers, their supervisor
+* :mod:`repro.serving.shards` — the decision worker, its supervisor
   (exponential-backoff restarts with WAL replay before re-admission),
   and the spawn-safe process transport;
 * :mod:`repro.serving.sse` — the live per-user audit-event stream
@@ -22,9 +25,9 @@ checkpointed write-ahead audit log:
 * :mod:`repro.serving.client` — a minimal blocking client for tests,
   benchmarks, and the demo.
 
-Every HTTP 200 carries a decision that is already durable in a shard
-WAL; sheds are journalled ``RESOURCE_EXHAUSTED`` denials surfaced as
-429; a recovering shard serves 503 — never a silent drop, never an
+Every HTTP 200 carries a decision that is already durable in the WAL;
+sheds are journalled ``RESOURCE_EXHAUSTED`` denials surfaced as 429; a
+recovering worker serves 503 — never a silent drop, never an
 un-journalled answer.  See ``docs/API.md`` (endpoints) and
 ``docs/ROBUSTNESS.md`` (the network-edge fail-closed story).
 """
@@ -38,7 +41,6 @@ from .shards import (
     ShardSupervisor,
     ShardUnavailable,
     ShardWorker,
-    shard_for,
 )
 from .sse import EventBroker
 
@@ -56,5 +58,4 @@ __all__ = [
     "ShardUnavailable",
     "ShardWorker",
     "budget_from_headers",
-    "shard_for",
 ]

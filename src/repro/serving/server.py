@@ -1,16 +1,17 @@
-"""The asyncio HTTP edge in front of the sharded audit frontends.
+"""The asyncio HTTP edge in front of the pooled decision worker.
 
 Endpoints (see ``docs/API.md`` for the wire reference):
 
 * ``POST /query`` — audit one query.  Every 200 carries a decision that
-  is already durable in the owning shard's WAL *before* the first
-  response byte is written.  Admission sheds are 429 + ``Retry-After``
-  (journalled ``RESOURCE_EXHAUSTED`` denials); a shard mid-recovery is
+  is already durable in the dataset's WAL *before* the first response
+  byte is written.  Admission sheds are 429 + ``Retry-After``
+  (journalled ``RESOURCE_EXHAUSTED`` denials); a worker mid-recovery is
   503 + ``Retry-After`` (nothing journalled, nothing released); expired
   client deadlines are journalled fail-closed refusals released as 200
   with a denial body.
-* ``GET /healthz`` — per-shard serving status.
-* ``GET /stats`` — per-shard users / denial counts / shed counters.
+* ``GET /healthz`` — the decision worker's serving status.
+* ``GET /stats`` — bounded aggregate counts (users seen, decisions,
+  denials by reason, sheds); never a user id.
 * ``GET /events`` — the live audit-event feed (SSE), published only
   after the decision is journalled.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..resilience.faults import InjectedCrash
 from ..types import AggregateKind
@@ -38,7 +39,7 @@ from .protocol import (
     write_response,
 )
 from .router import Router
-from .shards import ShardSupervisor, ShardUnavailable, shard_for
+from .shards import ShardSupervisor, ShardUnavailable
 from .sse import EventBroker, format_comment, format_event
 
 #: Journalled as the refusal detail for a deadline that was already
@@ -64,14 +65,13 @@ class ServerConfig:
 
 
 class AuditServer:
-    """Serve the sharded :class:`~repro.serving.shards.ShardSupervisor`
-    over HTTP.
+    """Serve the :class:`~repro.serving.shards.ShardSupervisor`'s one
+    pooled decision worker over HTTP.
 
-    The server serialises requests **per shard** (one asyncio lock per
-    shard): a shard worker is a single-threaded decision pipeline, and
-    the per-shard WAL orders its stream.  Requests to different shards
-    run concurrently; the blocking shard transport runs in the default
-    executor so the loop stays responsive.
+    The server serialises requests through one asyncio lock: the worker
+    is a single-threaded decision pipeline and its WAL orders the
+    dataset's one decision stream.  The blocking worker transport runs
+    in the default executor so the loop stays responsive.
     """
 
     def __init__(self, supervisor: ShardSupervisor,
@@ -84,7 +84,8 @@ class AuditServer:
         self.router.add("GET", "/healthz", self._handle_health)
         self.router.add("GET", "/stats", self._handle_stats)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._shard_locks: Dict[int, asyncio.Lock] = {}
+        # Created on first use, inside the serving loop.
+        self._lock: Optional[asyncio.Lock] = None
         self.port: Optional[int] = None
         #: Set when an injected crash killed the serving process model:
         #: the listener is down and no further bytes are ever written.
@@ -197,7 +198,6 @@ class AuditServer:
             raise ProtocolError(400, "unknown aggregate kind") from None
         budget, expired = budget_from_headers(request.headers,
                                               self.config.deadline)
-        index = shard_for(user, self.supervisor.num_shards)
         if expired:
             payload: Dict[str, Any] = {
                 "op": "refuse", "user": user, "kind": kind.value,
@@ -213,12 +213,13 @@ class AuditServer:
                     budget.max_chain_steps if budget else None,
             }
         try:
-            result = await self._dispatch(index, payload)
+            result = await self._call_worker(
+                self.supervisor.request, 0, payload)
         except ShardUnavailable as exc:
             # Fail closed at the edge: nothing was journalled and
             # nothing is released — the client retries after backoff.
             return json_response(
-                503, {"error": "shard recovering; retry later"},
+                503, {"error": "worker recovering; retry later"},
                 headers=[("Retry-After",
                           retry_after_seconds(exc.retry_after))])
         if not result.get("ok"):
@@ -227,7 +228,7 @@ class AuditServer:
                 400, {"error": str(result.get("error") or "invalid query")})
         event = result.get("event")
         if event is not None:
-            # Published strictly after the shard journalled the
+            # Published strictly after the worker journalled the
             # decision: the SSE feed can lag the WAL, never lead it.
             self.broker.publish(event)
         decision = dict(result["decision"])
@@ -243,27 +244,23 @@ class AuditServer:
         # released outcomes: 200 with the decision body.
         return json_response(200, decision)
 
-    async def _dispatch(self, index: int,
-                        payload: Dict[str, Any]) -> Dict[str, Any]:
-        lock = self._shard_locks.setdefault(index, asyncio.Lock())
+    async def _call_worker(self, fn: Callable[..., Dict[str, Any]],
+                           *args: Any) -> Dict[str, Any]:
+        """Run one blocking worker call under the edge's one lock (the
+        spawn transport's pipe carries one exchange at a time)."""
+        if self._lock is None:
+            self._lock = asyncio.Lock()
         loop = asyncio.get_event_loop()
-        async with lock:
-            return await loop.run_in_executor(
-                None, self.supervisor.request, index, payload)
+        async with self._lock:
+            return await loop.run_in_executor(None, fn, *args)
 
     async def _handle_health(self, request: HttpRequest) -> HttpResponse:
-        shards = self.supervisor.status()
-        degraded = any(s["status"] != "serving" for s in shards)
-        return json_response(200, {
-            "status": "degraded" if degraded else "serving",
-            "shards": shards,
-        })
+        return json_response(200, self.supervisor.status())
 
     async def _handle_stats(self, request: HttpRequest) -> HttpResponse:
-        loop = asyncio.get_event_loop()
-        stats = await loop.run_in_executor(None, self.supervisor.stats)
+        stats = await self._call_worker(self.supervisor.stats)
         return json_response(200, {
-            "shards": stats,
+            "worker": stats,
             "events_published": self.broker.published,
             "sse_subscribers": self.broker.subscriber_count,
         })

@@ -1,30 +1,30 @@
-"""Shard workers, their spawn-safe transport, and the restart supervisor.
+"""The decision worker, its spawn-safe transport, and the restart supervisor.
 
-The serving tier shards by **user id**: ``shard_for(user)`` hashes the
-user onto one of N workers, each of which owns a full
-:class:`~repro.sdb.multiuser.MultiUserFrontend` over the dataset with
-its *own* per-shard :class:`~repro.resilience.checkpoint.CheckpointedWal`
-directory (optionally replicating to per-shard follower directories).
-All of a user's queries land on the same shard, so the pooled auditor
-behind it sees their full history — the collusion guarantee is per
-shard, which is exactly the unit the WAL makes durable.
+The serving tier runs **one decision worker per dataset**.  The worker
+owns a single pooled :class:`~repro.sdb.multiuser.MultiUserFrontend`
+over the dataset and its one
+:class:`~repro.resilience.checkpoint.CheckpointedWal` directory
+(optionally replicating to follower directories).  Every user's queries
+reach the same pooled auditor: the paper's collusion argument (§§5, 7)
+is that "all users would have to be considered as one", and any split of
+the decision stream — by user id or otherwise — lets two colluding
+users difference answers that each stream alone would have denied.
 
-Workers run in two isolation modes behind one protocol of picklable
+The worker runs in two isolation modes behind one protocol of picklable
 dicts:
 
-* ``"spawn"`` — a real child process per shard
-  (:class:`ProcessShardHandle`, spawn context only: fork would duplicate
-  live WAL handles), connected over a pipe; a dead pipe *is* the crash
-  signal;
+* ``"spawn"`` — a real child process (:class:`ProcessShardHandle`, spawn
+  context only: fork would duplicate live WAL handles), connected over a
+  pipe; a dead pipe *is* the crash signal;
 * ``"inline"`` — the worker object runs in the server process
-  (:class:`InlineShardHandle`), which puts the whole shard inside the
+  (:class:`InlineShardHandle`), which puts the whole worker inside the
   deterministic fault harness: an :class:`~repro.resilience.faults.
   InjectedCrash` escaping the worker models the child process dying.
 
-The :class:`ShardSupervisor` owns the handles.  When a shard dies it is
-marked down, restarted with **exponential backoff**, and its WAL is
+The :class:`ShardSupervisor` owns the handle.  When the worker dies it
+is marked down, restarted with **exponential backoff**, and its WAL is
 replayed (that is just checkpointed recovery) *before* traffic is
-re-admitted; while it is down every request for it raises
+re-admitted; while it is down every request raises
 :class:`ShardUnavailable` — surfaced by the edge as 503 with
 ``Retry-After`` — never a silent drop, and never an answer that skipped
 the journal.
@@ -35,9 +35,8 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..exceptions import (
     InvalidQueryError,
@@ -55,24 +54,12 @@ from ..types import AggregateKind, AuditDecision, DenialReason, Query
 Clock = Callable[[], float]
 
 
-def shard_for(user: str, num_shards: int) -> int:
-    """Stable user → shard mapping (crc32, identical across processes).
-
-    Python's own ``hash`` is salted per process, which would scatter a
-    user's history across shards between restarts — an audit hole, since
-    each shard's pooled auditor only sees its own stream.
-    """
-    if num_shards < 1:
-        raise InvalidQueryError("num_shards must be at least 1")
-    return zlib.crc32(user.encode("utf-8")) % num_shards
-
-
 class ShardCrashed(ReproError):
-    """The shard's worker process died mid-request (dead pipe)."""
+    """The worker process died mid-request (dead pipe)."""
 
 
 class ShardUnavailable(ReproError):
-    """The shard is down or mid-recovery; retry after ``retry_after``."""
+    """The worker is down or mid-recovery; retry after ``retry_after``."""
 
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
         super().__init__(message)
@@ -81,15 +68,14 @@ class ShardUnavailable(ReproError):
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything needed to (re)build one shard worker — picklable, so
-    a spawn-context child can reconstruct the shard from scratch.
+    """Everything needed to (re)build the decision worker — picklable,
+    so a spawn-context child can reconstruct it from scratch.
 
-    ``wal_dir`` selects the shard's checkpointed WAL directory (``None``
-    = in-memory journal only); ``replicate_to`` adds per-shard follower
-    replica directories.
+    ``wal_dir`` is the checkpointed WAL directory itself (``None`` =
+    in-memory journal only); ``replicate_to`` lists follower replica
+    directories.
     """
 
-    index: int
     values: Tuple[float, ...]
     low: float
     high: float
@@ -127,8 +113,7 @@ def _auditor_factory(spec: ShardSpec) -> Callable[[Dataset], Any]:
         return lambda ds: cls(ds)
     if spec.auditor in probabilistic:
         pcls = probabilistic[spec.auditor]
-        seed = spec.seed + spec.index  # one master stream per shard
-        return lambda ds: pcls(ds, rng=seed)
+        return lambda ds: pcls(ds, rng=spec.seed)
     raise InvalidQueryError(f"unknown auditor name {spec.auditor!r}")
 
 
@@ -144,12 +129,15 @@ def decision_to_dict(decision: AuditDecision) -> Dict[str, Any]:
 
 
 class ShardWorker:
-    """One shard: an admission gate in front of a WAL-backed frontend.
+    """The decision worker: an admission gate in front of the one
+    WAL-backed pooled frontend.
 
     ``handle`` speaks the picklable request/response dict protocol the
-    transports ship; it is the single release point of the shard, and
+    transports ship; it is the single release point of the dataset, and
     every outcome it returns is already journalled (durably, when the
-    shard carries a WAL) before the dict leaves this method.
+    worker carries a WAL) before the dict leaves this method.  Calls
+    are serialised by the caller (the edge's one lock, or the spawned
+    child's single request loop).
     """
 
     def __init__(self, spec: ShardSpec,
@@ -174,8 +162,6 @@ class ShardWorker:
                 user_rate=spec.user_rate, user_burst=spec.user_burst,
                 max_in_flight=spec.max_in_flight,
             ))
-        self._seq = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Request handling
@@ -194,7 +180,7 @@ class ShardWorker:
             return self._handle_stats()
         if op == "ping":
             # audit: WAL001 -- a liveness ack carries no decision
-            return {"ok": True, "shard": self.spec.index}
+            return {"ok": True}
         # audit: WAL001 -- a constant protocol error for an unknown op;
         # no query was posed, so there is nothing to journal
         return {"ok": False, "error": "unknown shard op"}
@@ -229,10 +215,10 @@ class ShardWorker:
             else:
                 decision = self._audit(user, query, request)
         except (InvalidQueryError, UnsupportedQueryError):
-            # Parseable but unanswerable — a kind this shard's auditor
-            # does not serve, or an index outside the dataset.  Nothing
-            # was journalled and nothing is released, so this is a
-            # constant protocol error, not a shard crash.
+            # Parseable but unanswerable — a kind this deployment's
+            # auditor does not serve, or an index outside the dataset.
+            # Nothing was journalled and nothing is released, so this is
+            # a constant protocol error, not a worker crash.
             return {"ok": False, "error": "unsupported query"}
         # The journal append is durable; the response dict is not yet on
         # the pipe.  A crash here is the "answered on disk, never on the
@@ -288,14 +274,18 @@ class ShardWorker:
         fault_site("shard.post-journal")
         return self._respond(user, query, decision, shed=True)
 
+    @property
+    def _trail(self) -> Any:
+        """The pooled auditor's disclosure trail (recovered from the WAL
+        on restart, so its length is the cumulative decision count)."""
+        return self.frontend._pooled.trail
+
     def _respond(self, user: str, query: Query, decision: AuditDecision,
                  shed: bool) -> Dict[str, Any]:
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
         event = {
-            "seq": seq,
-            "shard": self.spec.index,
+            # The decision's 1-based position in the dataset's journalled
+            # stream: it continues across worker restarts.
+            "seq": len(self._trail),
             "user": user,
             "kind": query.kind.value,
             "members": sorted(query.query_set),
@@ -305,19 +295,23 @@ class ShardWorker:
                 "decision": decision_to_dict(decision), "event": event}
 
     def _handle_stats(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {
+        """Aggregate counts only: the body's size does not grow with
+        the number of users, and it names none of them."""
+        summary = self._trail.summary()
+        shed = (self.admission.shed_counts() if self.admission is not None
+                else {"rate": 0, "in_flight": 0})
+        return {
             "ok": True,
-            "shard": self.spec.index,
-            "users": self.frontend.users(),
-            "denials": self.frontend.denial_counts(),
-            "events": self._seq,
+            "users_seen": len(self.frontend.users()),
+            "decisions": summary["queries"],
+            "answered": summary["answered"],
+            "denied": summary["denied"],
+            "denied_by_reason": summary["denied_by_reason"],
+            "shed": shed,
         }
-        if self.admission is not None:
-            stats["shed"] = self.admission.shed_counts()
-        return stats
 
     def close(self) -> None:
-        """Close the shard's WAL (flushes replication links too)."""
+        """Close the worker's WAL (flushes replication links too)."""
         closer = getattr(self.frontend._pooled, "close", None)
         if closer is not None:
             closer()
@@ -328,7 +322,7 @@ class ShardWorker:
 # ----------------------------------------------------------------------
 
 def _shard_process_main(conn: Any, spec: ShardSpec) -> None:
-    """Entry point of a spawned shard worker process."""
+    """Entry point of the spawned decision worker process."""
     worker = ShardWorker(spec)
     try:
         while True:
@@ -364,7 +358,7 @@ class InlineShardHandle:
 
 
 class ProcessShardHandle:
-    """A shard worker in a spawned child process behind a pipe.
+    """The decision worker in a spawned child process behind a pipe.
 
     Spawn context only — fork would duplicate live WAL file handles into
     the child.  A send/recv failure or an ACK timeout means the worker
@@ -380,7 +374,7 @@ class ProcessShardHandle:
                                     args=(child, spec), daemon=True)
         self._process.start()
         child.close()
-        # Fail fast at boot: a shard that cannot recover its WAL must
+        # Fail fast at boot: a worker that cannot recover its WAL must
         # not be marked serving.
         self.request({"op": "ping"})
 
@@ -389,12 +383,12 @@ class ProcessShardHandle:
             self._conn.send(payload)
             if not self._conn.poll(self._timeout):
                 raise ShardCrashed(
-                    f"shard {self.spec.index} worker did not respond "
-                    f"within {self._timeout}s")
+                    f"decision worker did not respond within "
+                    f"{self._timeout}s")
             return self._conn.recv()
         except (OSError, EOFError, BrokenPipeError) as exc:
             raise ShardCrashed(
-                f"shard {self.spec.index} worker process is gone "
+                f"decision worker process is gone "
                 f"({exc.__class__.__name__})") from exc
 
     def kill(self) -> None:
@@ -419,7 +413,7 @@ class ProcessShardHandle:
 # ----------------------------------------------------------------------
 
 @dataclass
-class _ShardState:
+class _WorkerState:
     status: str = "serving"          # serving | down
     attempts: int = 0                # consecutive failed restarts
     retry_at: float = 0.0            # earliest next restart instant
@@ -427,9 +421,9 @@ class _ShardState:
 
 
 class ShardSupervisor:
-    """Owns the shard handles; restarts crashed shards with backoff.
+    """Owns the decision worker; restarts it with backoff after a crash.
 
-    A dead shard is restarted no earlier than ``backoff_base * 2**k``
+    A dead worker is restarted no earlier than ``backoff_base * 2**k``
     seconds after its ``k``-th consecutive failure (capped at
     ``backoff_max``); the restart *is* WAL recovery — the new worker
     replays its checkpointed log before the supervisor re-admits
@@ -437,49 +431,47 @@ class ShardSupervisor:
     :meth:`request` raises :class:`ShardUnavailable` with the remaining
     backoff, which the edge surfaces as 503 + ``Retry-After``.
 
-    Concurrency contract: the edge serialises requests *per shard* (an
-    asyncio lock per shard), so :meth:`request` never races itself for
-    one shard; the internal lock only guards the supervisor's own state
-    transitions.
+    Concurrency contract: the edge serialises requests (one asyncio
+    lock), so :meth:`request` never races itself; the internal lock only
+    guards the supervisor's own state transitions.
     """
 
-    def __init__(self, specs: List[ShardSpec], mode: str = "spawn",
+    def __init__(self, spec: ShardSpec, mode: str = "spawn",
                  backoff_base: float = 0.05, backoff_max: float = 5.0,
                  clock: Optional[Clock] = None,
                  budget_clock: Optional[Clock] = None) -> None:
         if mode not in ("spawn", "inline"):
             raise InvalidQueryError("mode must be 'spawn' or 'inline'")
-        self.specs = list(specs)
+        self.spec = spec
         self.mode = mode
         self.backoff_base = float(backoff_base)
         self.backoff_max = float(backoff_max)
         self._clock: Clock = clock or time.monotonic
         self._budget_clock = budget_clock
         self._lock = threading.Lock()
-        self._handles: Dict[int, Any] = {}
-        self._state: Dict[int, _ShardState] = {
-            spec.index: _ShardState() for spec in self.specs
-        }
-        for spec in self.specs:
-            self._handles[spec.index] = self._build_handle(spec)
+        self._state = _WorkerState()
+        self._handle: Optional[Any] = self._build_handle()
         self.restarts = 0
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.specs)
-
-    def _build_handle(self, spec: ShardSpec) -> Any:
+    def _build_handle(self) -> Any:
         if self.mode == "inline":
-            return InlineShardHandle(spec, budget_clock=self._budget_clock)
-        return ProcessShardHandle(spec)
+            return InlineShardHandle(self.spec,
+                                     budget_clock=self._budget_clock)
+        return ProcessShardHandle(self.spec)
 
     # ------------------------------------------------------------------
 
     def request(self, index: int, payload: Dict[str, Any]
                 ) -> Dict[str, Any]:
-        """Route one protocol dict to shard ``index`` (restarting it
-        first if it is down and its backoff has elapsed)."""
-        handle = self._ensure_serving(index)
+        """Send one protocol dict to the worker (restarting it first if
+        it is down and its backoff has elapsed).
+
+        ``index`` must be 0, the one worker; the argument keeps the
+        positional signature that servebench's tracer wraps.
+        """
+        if index != 0:
+            raise InvalidQueryError(f"unknown worker index {index}")
+        handle = self._ensure_serving()
         try:
             return handle.request(payload)
         except (ShardCrashed, InjectedCrash) as exc:
@@ -488,121 +480,94 @@ class ShardSupervisor:
             # observing a child's death is not swallowing a crash: the
             # worker object is discarded wholesale, exactly like a dead
             # pipe, and recovery goes through WAL replay on restart.
-            self._mark_down(index, exc)
-            state = self._state[index]
+            self._mark_down(exc)
             raise ShardUnavailable(
-                f"shard {index} worker crashed; recovering",
-                retry_after=max(0.0, state.retry_at - self._clock()),
+                "decision worker crashed; recovering",
+                retry_after=self._retry_after(),
             ) from None
 
-    def _ensure_serving(self, index: int) -> Any:
-        if index not in self._state:
-            raise InvalidQueryError(f"unknown shard index {index}")
+    def _ensure_serving(self) -> Any:
         with self._lock:
-            state = self._state[index]
-            if state.status == "serving":
-                return self._handles[index]
+            if self._state.status == "serving":
+                return self._handle
             now = self._clock()
-            if now < state.retry_at:
+            if now < self._state.retry_at:
                 raise ShardUnavailable(
-                    f"shard {index} is recovering; retry later",
-                    retry_after=state.retry_at - now,
+                    "decision worker is recovering; retry later",
+                    retry_after=self._state.retry_at - now,
                 )
-        return self._restart(index)
+        return self._restart()
 
-    def _mark_down(self, index: int, exc: BaseException) -> None:
+    def _mark_down(self, exc: BaseException) -> None:
         with self._lock:
-            state = self._state[index]
-            state.status = "down"
-            state.attempts += 1
-            state.last_error = exc.__class__.__name__
-            state.retry_at = self._clock() + self._backoff(state.attempts)
-        handle = self._handles.pop(index, None)
+            self._fail(exc.__class__.__name__)
+            self._state.status = "down"
+            handle, self._handle = self._handle, None
         if handle is not None and self.mode == "spawn":
             try:
                 handle.kill()
             except Exception:  # pragma: no cover - defensive reaping
                 pass
 
-    def _backoff(self, attempts: int) -> float:
-        return min(self.backoff_max,
-                   self.backoff_base * (2.0 ** max(0, attempts - 1)))
+    def _fail(self, label: str) -> None:
+        """Count one consecutive failure and schedule the next restart
+        (caller holds the lock)."""
+        state = self._state
+        state.attempts += 1
+        state.last_error = label
+        backoff = min(self.backoff_max,
+                      self.backoff_base * (2.0 ** (state.attempts - 1)))
+        state.retry_at = self._clock() + backoff
 
-    def _restart(self, index: int) -> Any:
-        """Rebuild the shard worker; WAL replay happens inside."""
-        spec = next(s for s in self.specs if s.index == index)
+    def _restart(self) -> Any:
+        """Rebuild the worker; WAL replay happens inside."""
         try:
-            handle = self._build_handle(spec)
-        except InjectedCrash:
-            # The restart itself died (a chaos plan is still active):
-            # the supervisor survives its child and backs off again.
-            self._mark_down_restart_failed(index, "InjectedCrash")
+            handle = self._build_handle()
+        except (InjectedCrash, ReproError) as exc:
+            # The restart itself died (a chaos plan is still active, or
+            # recovery failed): the supervisor survives its child and
+            # backs off again.
+            with self._lock:
+                self._fail(exc.__class__.__name__)
             raise ShardUnavailable(
-                f"shard {index} recovery crashed; backing off",
-                retry_after=self._retry_after(index),
-            ) from None
-        except ReproError:
-            self._mark_down_restart_failed(index, "ReproError")
-            raise ShardUnavailable(
-                f"shard {index} recovery failed; backing off",
-                retry_after=self._retry_after(index),
+                "decision worker recovery failed; backing off",
+                retry_after=self._retry_after(),
             ) from None
         with self._lock:
-            self._handles[index] = handle
-            state = self._state[index]
-            state.status = "serving"
-            state.attempts = 0
-            state.retry_at = 0.0
-            state.last_error = ""
+            self._handle = handle
+            self._state = _WorkerState()
             self.restarts += 1
         return handle
 
-    def _mark_down_restart_failed(self, index: int, label: str) -> None:
+    def _retry_after(self) -> float:
         with self._lock:
-            state = self._state[index]
-            state.attempts += 1
-            state.last_error = label
-            state.retry_at = self._clock() + self._backoff(state.attempts)
-
-    def _retry_after(self, index: int) -> float:
-        with self._lock:
-            return max(0.0, self._state[index].retry_at - self._clock())
+            return max(0.0, self._state.retry_at - self._clock())
 
     # ------------------------------------------------------------------
 
-    def crash_shard(self, index: int) -> None:
-        """Kill one shard on purpose (drills and the demo)."""
-        self._mark_down(index, ShardCrashed("operator-initiated kill"))
+    def crash(self) -> None:
+        """Kill the worker on purpose (drills and the demo)."""
+        self._mark_down(ShardCrashed("operator-initiated kill"))
 
-    def status(self) -> List[Dict[str, Any]]:
-        """Per-shard serving state for ``/healthz``."""
+    def status(self) -> Dict[str, Any]:
+        """The worker's serving state for ``/healthz``."""
         with self._lock:
-            return [
-                {
-                    "shard": spec.index,
-                    "status": self._state[spec.index].status,
-                    "restart_attempts": self._state[spec.index].attempts,
-                    "last_error": self._state[spec.index].last_error,
-                }
-                for spec in self.specs
-            ]
+            return {
+                "status": self._state.status,
+                "restart_attempts": self._state.attempts,
+                "last_error": self._state.last_error,
+            }
 
-    def stats(self) -> List[Dict[str, Any]]:
-        """Per-shard worker stats (skips shards that are down)."""
-        out: List[Dict[str, Any]] = []
-        for spec in self.specs:
-            try:
-                out.append(self.request(spec.index, {"op": "stats"}))
-            except (ShardUnavailable, InvalidQueryError):
-                out.append({"ok": False, "shard": spec.index,
-                            "error": "unavailable"})
-        return out
+    def stats(self) -> Dict[str, Any]:
+        """The worker's aggregate counts (an error dict while down)."""
+        try:
+            return self.request(0, {"op": "stats"})
+        except ShardUnavailable:
+            return {"ok": False, "error": "unavailable"}
 
     def close(self) -> None:
         with self._lock:
-            handles = list(self._handles.values())
-            self._handles.clear()
-            for state in self._state.values():
-                state.status = "down"
-        for handle in handles:
+            handle, self._handle = self._handle, None
+            self._state.status = "down"
+        if handle is not None:
             handle.close()

@@ -1,7 +1,7 @@
 """The live audit-event feed: Server-Sent Events plumbing.
 
 Every released decision (answers, denials, journalled sheds) becomes one
-event on the broker *after* it is durable in its shard's WAL — the
+event on the broker *after* it is durable in the dataset's WAL — the
 stream can lag the journal, never lead it.  Subscribers get a bounded
 queue each; a slow consumer loses its **oldest** buffered events rather
 than stalling the serving path or growing memory without bound (the
@@ -82,13 +82,13 @@ class EventBroker:
 
 
 def format_event(event: Dict[str, Any]) -> bytes:
-    """One SSE frame: ``id`` from the shard-local sequence number,
-    ``event: decision``, JSON data line."""
+    """One SSE frame: ``id`` from the decision's position in the
+    journalled stream, ``event: decision``, JSON data line."""
     data = json.dumps(event, sort_keys=True)
     lines = []
     seq = event.get("seq")
     if seq is not None:
-        lines.append(f"id: {event.get('shard', 0)}-{seq}")
+        lines.append(f"id: {seq}")
     lines.append("event: decision")
     lines.append(f"data: {data}")
     return ("\n".join(lines) + "\n\n").encode("utf-8")

@@ -3,15 +3,16 @@
 The serving-tier extension of ``tests/resilience/test_chaos.py``: kill
 the serving process at every new network fault site — half-way through
 reading a request body, between the header lines of a slow-loris
-client, mid-response after the decision is durable, and in the shard
+client, mid-response after the decision is durable, and in the decision
 worker between the journal append and the response write — restart over
-the same per-shard WAL directories, let the client retry, and assert:
+the same WAL directory, let the client retry, and assert, on the one
+pooled decision stream all users share:
 
 * the released decision stream is identical to the uncrashed baseline
   (a crash may force a retry, never change an answer);
-* the surviving per-shard WAL streams are **bitwise-identical** between
-  each primary and its replica;
-* **no client ever received a 200 whose decision is absent from a
+* the surviving primary and replica WAL streams are
+  **bitwise-identical**;
+* **no client ever received a 200 whose decision is absent from the
   WAL** — released implies durable, at every kill point.
 
 The sweep is exhaustive by construction: per site it advances the crash
@@ -29,17 +30,16 @@ import pytest
 from repro.resilience.faults import FaultPlan, inject
 from repro.resilience.replication import replica_events
 from repro.serving.client import ServingClientError
-from repro.serving.shards import ShardSpec, ShardWorker, shard_for
+from repro.serving.shards import ShardSpec, ShardWorker
 
 from .test_http import Harness
 
 pytestmark = pytest.mark.faults
 
 VALUES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-NUM_SHARDS = 2
 USERS = ["alice", "bob", "carol"]
 
-#: per-user query sequence (pooled per shard): two guaranteed denials
+#: per-user query sequence (pooled across users): two guaranteed denials
 QUERY_SETS = [
     (0, 1, 2, 3, 4, 5),
     (0, 1, 2),
@@ -60,21 +60,16 @@ SWEEP_SITES = [
 MAX_OCCURRENCES = 200
 
 
-def make_specs(root):
-    specs = []
-    for i in range(NUM_SHARDS):
-        specs.append(ShardSpec(
-            index=i, values=VALUES, low=0.0, high=100.0, auditor="sum",
-            wal_dir=os.path.join(root, "primary", f"shard-{i:02d}"),
-            checkpoint_every=4,
-            replicate_to=(
-                os.path.join(root, "replica", f"shard-{i:02d}"),),
-        ))
-    return specs
+def make_spec(root):
+    return ShardSpec(
+        values=VALUES, low=0.0, high=100.0, auditor="sum",
+        wal_dir=os.path.join(root, "primary"), checkpoint_every=4,
+        replicate_to=(os.path.join(root, "replica"),),
+    )
 
 
 def start_harness(root):
-    return Harness(make_specs(root), backoff_base=0.001)
+    return Harness(make_spec(root), backoff_base=0.001)
 
 
 def run_workload(root, plan=None):
@@ -108,7 +103,7 @@ def run_workload(root, plan=None):
                             continue  # torn response / dead listener
                         raise
                     if res.status == 503:
-                        time.sleep(0.005)  # shard restart backoff
+                        time.sleep(0.005)  # worker restart backoff
                         continue
                     assert res.status == 200, res.payload
                     stream.append((user, tuple(members),
@@ -126,31 +121,25 @@ def run_workload(root, plan=None):
 
 def assert_wals_bitwise_identical_and_complete(root, stream):
     """Primary vs replica equality, then released ⇒ durable."""
-    specs = make_specs(root)
-    for spec in specs:
-        primary = replica_events(spec.wal_dir)
-        replica = replica_events(spec.replicate_to[0])
-        assert primary == replica, (
-            f"shard {spec.index}: primary and replica WAL streams differ")
-        assert primary, f"shard {spec.index} served nothing"
-    # Re-open each shard over its primary WAL (no replication links, so
-    # the replica dirs stay untouched) and check that every 200 the
+    spec = make_spec(root)
+    primary = replica_events(spec.wal_dir)
+    replica = replica_events(spec.replicate_to[0])
+    assert primary == replica, "primary and replica WAL streams differ"
+    assert primary, "the worker served nothing"
+    # Re-open the worker over the primary WAL (no replication links, so
+    # the replica dir stays untouched) and check that every 200 the
     # client saw is present in the recovered disclosure trail.
-    trails = {}
-    for spec in specs:
-        worker = ShardWorker(dataclasses.replace(spec, replicate_to=()))
-        trails[spec.index] = {
-            (tuple(sorted(e.query.query_set)), e.decision.denied,
-             e.decision.value)
-            for e in worker.frontend._pooled.trail.events
-        }
-        worker.close()
+    worker = ShardWorker(dataclasses.replace(spec, replicate_to=()))
+    trail = {
+        (tuple(sorted(e.query.query_set)), e.decision.denied,
+         e.decision.value)
+        for e in worker.frontend._pooled.trail.events
+    }
+    worker.close()
     for user, members, denied, value, _reason in stream:
-        shard = shard_for(user, NUM_SHARDS)
         key = (tuple(sorted(members)), denied, value)
-        assert key in trails[shard], (
-            f"released answer {key} for {user} missing from shard "
-            f"{shard}'s WAL")
+        assert key in trail, (
+            f"released answer {key} for {user} missing from the WAL")
 
 
 @pytest.fixture(scope="module")
@@ -160,9 +149,7 @@ def baseline():
     stream = run_workload(root)
     assert len(stream) == len(WORKLOAD)
     denials = [s for s in stream if s[2]]
-    assert len(denials) == 2 * len(USERS)  # two per user, pooled per shard
-    # the workload must actually exercise both shards
-    assert {shard_for(u, NUM_SHARDS) for u in USERS} == {0, 1}
+    assert len(denials) == 2 * len(USERS)  # two per user, pooled
     assert_wals_bitwise_identical_and_complete(root, stream)
     return stream
 

@@ -1,4 +1,4 @@
-"""Shard workers, the spawn transport, and the restart supervisor."""
+"""The decision worker, the spawn transport, and the restart supervisor."""
 
 import itertools
 
@@ -12,17 +12,16 @@ from repro.serving.shards import (
     ShardSupervisor,
     ShardUnavailable,
     ShardWorker,
-    shard_for,
 )
 
 VALUES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 
-def make_spec(index=0, tmp_path=None, **overrides):
-    kwargs = dict(index=index, values=VALUES, low=0.0, high=100.0,
-                  auditor="sum", seed=0)
+def make_spec(tmp_path=None, **overrides):
+    kwargs = dict(values=VALUES, low=0.0, high=100.0, auditor="sum",
+                  seed=0)
     if tmp_path is not None:
-        kwargs["wal_dir"] = str(tmp_path / f"shard-{index:02d}")
+        kwargs["wal_dir"] = str(tmp_path / "wal")
     kwargs.update(overrides)
     return ShardSpec(**kwargs)
 
@@ -32,24 +31,6 @@ def query_op(user, members, **extra):
                "members": list(members)}
     payload.update(extra)
     return payload
-
-
-# ----------------------------------------------------------------------
-# shard_for
-# ----------------------------------------------------------------------
-
-def test_shard_for_is_deterministic_and_in_range():
-    users = [f"user-{i}" for i in range(64)]
-    first = [shard_for(u, 4) for u in users]
-    assert first == [shard_for(u, 4) for u in users]
-    assert all(0 <= s < 4 for s in first)
-    # a hash that lands everyone on one shard would defeat sharding
-    assert len(set(first)) == 4
-
-
-def test_shard_for_rejects_zero_shards():
-    with pytest.raises(InvalidQueryError):
-        shard_for("alice", 0)
 
 
 # ----------------------------------------------------------------------
@@ -68,10 +49,12 @@ def test_worker_answers_and_denies_with_pooled_history():
     assert denied["decision"]["denied"]
     assert denied["event"]["user"] == "carol"
     assert denied["event"]["members"] == [0, 1]
+    assert denied["event"]["seq"] == 3
     stats = worker.handle({"op": "stats"})
-    assert stats["users"] == ["alice", "bob", "carol"]
-    assert stats["denials"]["carol"] == 1
-    assert stats["events"] == 3
+    assert stats["users_seen"] == 3
+    assert stats["decisions"] == 3
+    assert stats["denied"] == 1
+    assert sum(stats["denied_by_reason"].values()) == 1
 
 
 @pytest.mark.parametrize("payload", [
@@ -134,6 +117,7 @@ def test_admission_shed_is_a_journalled_denial():
     assert worker.frontend.denial_counts()["alice"] == 1
     stats = worker.handle({"op": "stats"})
     assert stats["shed"]["rate"] == 1
+    assert stats["denied_by_reason"] == {"resource-exhausted": 1}
 
 
 def test_deadline_shorter_than_one_chain_step_fails_closed():
@@ -170,6 +154,8 @@ def test_worker_recovers_journalled_state_from_wal(tmp_path):
     assert len(trail) == 2
     res = recovered.handle(query_op("alice", [3, 4, 5]))
     assert res["decision"] == {"denied": False, "value": 150.0}
+    # the event sequence continues from the recovered stream
+    assert res["event"]["seq"] == 3
     recovered.close()
 
 
@@ -178,23 +164,26 @@ def test_worker_recovers_journalled_state_from_wal(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_supervisor_routes_and_reports_status(tmp_path):
-    specs = [make_spec(i, tmp_path) for i in range(2)]
-    sup = ShardSupervisor(specs, mode="inline")
+    sup = ShardSupervisor(make_spec(tmp_path), mode="inline")
     try:
         res = sup.request(0, query_op("alice", range(6)))
         assert res["ok"]
-        assert [s["status"] for s in sup.status()] == ["serving"] * 2
-        assert sup.request(1, {"op": "ping"})["shard"] == 1
-        with pytest.raises(InvalidQueryError):
-            sup.request(9, {"op": "ping"})
+        assert sup.status()["status"] == "serving"
+        assert sup.request(0, {"op": "ping"}) == {"ok": True}
+        # the only worker index is 0
+        for index in (1, 9, -1):
+            with pytest.raises(InvalidQueryError):
+                sup.request(index, {"op": "ping"})
     finally:
         sup.close()
+    # --wal names the WAL directory itself: no per-worker subdirectory
+    assert (tmp_path / "wal" / "MANIFEST").exists()
 
 
 def test_supervisor_restarts_crashed_shard_with_backoff(tmp_path):
     now = [0.0]
-    specs = [make_spec(0, tmp_path)]
-    sup = ShardSupervisor(specs, mode="inline", backoff_base=0.5,
+    sup = ShardSupervisor(make_spec(tmp_path), mode="inline",
+                          backoff_base=0.5,
                           backoff_max=8.0, clock=lambda: now[0])
     try:
         sup.request(0, query_op("alice", range(6)))
@@ -205,7 +194,7 @@ def test_supervisor_restarts_crashed_shard_with_backoff(tmp_path):
         assert plan.fired
         # the decision was journalled *before* the crash: nothing was
         # released to the client, but the WAL holds it
-        assert sup.status()[0]["status"] == "down"
+        assert sup.status()["status"] == "down"
         # inside the backoff window every request is 503-shaped
         with pytest.raises(ShardUnavailable) as err:
             sup.request(0, query_op("alice", [3, 4]))
@@ -215,11 +204,13 @@ def test_supervisor_restarts_crashed_shard_with_backoff(tmp_path):
         res = sup.request(0, query_op("alice", [3, 4, 5]))
         assert res["ok"]
         assert sup.restarts == 1
-        assert sup.status()[0]["status"] == "serving"
-        # the pre-crash decision survived recovery
+        assert sup.status()["status"] == "serving"
+        # the pre-crash decision survived recovery, and the event
+        # sequence continues after it instead of restarting at 1
+        assert res["event"]["seq"] == 3
         stats = sup.request(0, {"op": "stats"})
-        assert stats["events"] >= 1
-        recovered = ShardWorker(make_spec(0, tmp_path))
+        assert stats["decisions"] == 3
+        recovered = ShardWorker(make_spec(tmp_path))
         assert len(recovered.frontend._pooled.trail) >= 3
         recovered.close()
     finally:
@@ -228,7 +219,7 @@ def test_supervisor_restarts_crashed_shard_with_backoff(tmp_path):
 
 def test_supervisor_backoff_grows_exponentially(tmp_path):
     now = [0.0]
-    sup = ShardSupervisor([make_spec(0, tmp_path)], mode="inline",
+    sup = ShardSupervisor(make_spec(tmp_path), mode="inline",
                           backoff_base=1.0, backoff_max=16.0,
                           clock=lambda: now[0])
     try:
@@ -236,41 +227,41 @@ def test_supervisor_backoff_grows_exponentially(tmp_path):
         for occurrence in range(3):
             # crash the serving shard, then crash the restart too: each
             # consecutive failure doubles the wait
-            sup.crash_shard(0)
-            delays.append(sup._state[0].retry_at - now[0])
-            now[0] = sup._state[0].retry_at + 0.01
+            sup.crash()
+            delays.append(sup._state.retry_at - now[0])
+            now[0] = sup._state.retry_at + 0.01
             sup.request(0, {"op": "ping"})  # successful restart resets
         assert delays == pytest.approx([1.0, 1.0, 1.0])
         # now fail the restarts themselves: attempts accumulate and the
         # wait doubles each time (a clean WAL reopen hits no fault site,
         # so model the recovery crash at the build step directly)
-        sup.crash_shard(0)
+        sup.crash()
         build = sup._build_handle
-        sup._build_handle = lambda spec: (_ for _ in ()).throw(
+        sup._build_handle = lambda: (_ for _ in ()).throw(
             InjectedCrash("shard.post-journal"))
         for expected in (2.0, 4.0, 8.0):
-            now[0] = sup._state[0].retry_at + 0.01
+            now[0] = sup._state.retry_at + 0.01
             with pytest.raises(ShardUnavailable):
                 sup.request(0, {"op": "ping"})
-            assert sup._state[0].retry_at - now[0] == pytest.approx(expected)
+            assert sup._state.retry_at - now[0] == pytest.approx(expected)
         # once recovery stops crashing, the shard comes back
         sup._build_handle = build
-        now[0] = sup._state[0].retry_at + 0.01
+        now[0] = sup._state.retry_at + 0.01
         assert sup.request(0, {"op": "ping"})["ok"]
     finally:
         sup.close()
 
 
 def test_operator_crash_drill_marks_shard_down(tmp_path):
-    sup = ShardSupervisor([make_spec(0, tmp_path)], mode="inline",
+    sup = ShardSupervisor(make_spec(tmp_path), mode="inline",
                           backoff_base=10.0, clock=lambda: 0.0)
     try:
-        sup.crash_shard(0)
-        status = sup.status()[0]
+        sup.crash()
+        status = sup.status()
         assert status["status"] == "down"
         assert status["restart_attempts"] == 1
         stats = sup.stats()
-        assert stats[0]["ok"] is False
+        assert stats == {"ok": False, "error": "unavailable"}
     finally:
         sup.close()
 
@@ -280,13 +271,13 @@ def test_operator_crash_drill_marks_shard_down(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_spawned_shard_serves_and_survives_kill(tmp_path):
-    spec = make_spec(0, tmp_path)
-    sup = ShardSupervisor([spec], mode="spawn", backoff_base=0.05)
+    sup = ShardSupervisor(make_spec(tmp_path), mode="spawn",
+                          backoff_base=0.05)
     try:
         res = sup.request(0, query_op("alice", range(6)))
         assert res["decision"] == {"denied": False, "value": 210.0}
         # hard-kill the worker process: the dead pipe is the crash signal
-        sup._handles[0].kill()
+        sup._handle.kill()
         with pytest.raises(ShardUnavailable):
             sup.request(0, query_op("alice", [0, 1, 2]))
         # after the backoff the supervisor restarts it; the restart
@@ -304,14 +295,14 @@ def test_spawned_shard_serves_and_survives_kill(tmp_path):
         assert res["ok"]
         assert sup.restarts == 1
         stats = sup.request(0, {"op": "stats"})
-        assert stats["users"] == ["alice"]
+        assert stats["decisions"] == 2
+        assert res["event"]["seq"] == 2
     finally:
         sup.close()
 
 
 def test_process_handle_clean_shutdown(tmp_path):
-    spec = make_spec(0, tmp_path)
-    handle = ProcessShardHandle(spec)
+    handle = ProcessShardHandle(make_spec(tmp_path))
     assert handle.request({"op": "ping"})["ok"]
     handle.close()
     assert not handle._process.is_alive()
