@@ -18,17 +18,19 @@ private.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import InconsistentAnswersError, PrivacyParameterError
-from ..privacy.compromise import ratios_within_band
+from ..exceptions import PrivacyParameterError
+from ..privacy.compromise import ratios_within_band, rows_within_band
 from ..privacy.intervals import IntervalGrid
 from ..privacy.posterior import (
     general_prior,
     max_predicate_bucket_probabilities,
     max_predicate_bucket_probabilities_general,
+    max_row_bucket_probabilities_general,
+    max_rows_bucket_probabilities,
 )
 from ..resilience.budget import Budget, BudgetScope, run_fail_closed
 from ..resilience.overload import CircuitBreaker
@@ -40,7 +42,7 @@ from ..rng import (
     uniform_block,
 )
 from ..sdb.dataset import Dataset
-from ..synopsis.extreme_synopsis import ExtremeSynopsis, MaxSynopsis
+from ..synopsis.extreme_synopsis import ExtremeSynopsis, MaxSynopsis, Row
 from ..types import AggregateKind, AuditDecision, DenialReason, Query
 from .base import Auditor
 
@@ -77,41 +79,6 @@ def algorithm1_safe(synopsis: ExtremeSynopsis, grid: IntervalGrid,
     return True
 
 
-def algorithm1_safe_reference(synopsis: ExtremeSynopsis, grid: IntervalGrid,
-                              lam: float) -> bool:
-    """Literal transcription of Algorithm 1 (per element, per interval).
-
-    Slow; kept as the reference the vectorised version is tested against.
-    """
-    gamma = grid.gamma
-    lo_band = 1.0 - lam
-    hi_band = 1.0 / (1.0 - lam)
-    tol = 1e-12
-    span = grid.high - grid.low
-    for i in range(synopsis.n):
-        pred = synopsis.predicate_of(i)
-        if pred is None:
-            continue  # posterior equals prior: every interval is safe
-        scaled = (pred.value - grid.low) / span * gamma  # M * gamma
-        t = grid.containing(pred.value)                  # ceil(M * gamma)
-        if pred.equality:
-            y = (1.0 - 1.0 / pred.size) / scaled
-            point_mass = 1.0 / pred.size
-        else:
-            y = 1.0 / scaled
-            point_mass = 0.0
-        for j in range(1, gamma + 1):
-            if j < t:
-                ratio = gamma * y
-            elif j == t:
-                ratio = gamma * (y * (scaled - t + 1) + point_mass)
-            else:
-                ratio = 0.0  # I_j lies beyond M: always unsafe
-            if not lo_band - tol <= ratio <= hi_band + tol:
-                return False
-    return True
-
-
 class MaxProbabilisticAuditor(Auditor):
     """The Section 3.1 simulatable auditor for max queries.
 
@@ -139,10 +106,6 @@ class MaxProbabilisticAuditor(Auditor):
         Optional :class:`~repro.resilience.overload.CircuitBreaker`;
         repeated budget exhaustions trip it and subsequent decisions
         short-circuit to a conservative denial until its cooldown passes.
-    vectorized:
-        Whether per-decision Monte Carlo draws are assembled in batches
-        (default) or row by row from the same pre-drawn randomness
-        blocks; both modes release bitwise-identical decisions.
     """
 
     supported_kinds = frozenset({AggregateKind.MAX})
@@ -151,8 +114,7 @@ class MaxProbabilisticAuditor(Auditor):
                  delta: float = 0.05, rounds: int = 100,
                  num_samples: Optional[int] = None, rng: RngLike = None,
                  distribution=None, budget: Optional[Budget] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 vectorized: bool = True):
+                 breaker: Optional[CircuitBreaker] = None):
         super().__init__(dataset)
         dataset.require_duplicate_free()
         if not 0 < delta < 1:
@@ -171,7 +133,6 @@ class MaxProbabilisticAuditor(Auditor):
         self._rng = as_generator(rng)
         self.budget = budget
         self.breaker = breaker
-        self.vectorized = vectorized
         # Public model parameters (range and size are known to the attacker;
         # caching them keeps the decision path off the sensitive values).
         self._n = dataset.n
@@ -218,18 +179,32 @@ class MaxProbabilisticAuditor(Auditor):
             gen: Optional[np.random.Generator] = None) -> np.ndarray:
         """``count`` consistent datasets, stacked ``(count, n)``.
 
-        All randomness is pre-drawn in a canonical block order (base
-        values, then per-predicate member draws and witness picks); the
-        vectorized and row-by-row assembly paths consume the same blocks
-        with elementwise-identical arithmetic, so they are
-        bitwise-identical.
+        All randomness is pre-drawn by :meth:`_draw_sample_blocks`, then
+        assembled in batches: each predicate's member draws overwrite its
+        columns and the witness picks pin one member per row to the bound.
         """
+        if count <= 0:
+            return np.empty((0, self._n))
+        base, pred_blocks = self._draw_sample_blocks(count, gen)
+        values = base.reshape(count, self._n)
+        for members, bound, draws, witnesses in pred_blocks:
+            values[:, members] = draws.reshape(count, len(members))
+            if witnesses is not None:
+                cols = np.asarray(members)[witnesses]
+                values[np.arange(count), cols] = bound
+        return values
+
+    def _draw_sample_blocks(self, count: int,
+                            gen: Optional[np.random.Generator]):
+        """The randomness for ``count`` consistent datasets, in canonical
+        block order: base values (``count * n``), then per predicate its
+        member draws (``count * m``) and, for equality predicates, one
+        witness pick per dataset.  Returns ``(base, pred_blocks)`` with
+        ``(members, bound, draws, witnesses)`` per predicate."""
         if gen is None:
             gen = self._rng
         dist = self.distribution
         n = self._n
-        if count <= 0:
-            return np.empty((0, n))
         if dist is None:
             base = scale_uniform(uniform_block(gen, count * n),
                                  self._low, self._high)
@@ -252,24 +227,7 @@ class MaxProbabilisticAuditor(Auditor):
             witnesses = (integer_block(gen, m, count)
                          if pred.equality else None)
             pred_blocks.append((members, pred.value, draws, witnesses))
-        if self.vectorized:
-            values = base.reshape(count, n)
-            for members, bound, draws, witnesses in pred_blocks:
-                values[:, members] = draws.reshape(count, len(members))
-                if witnesses is not None:
-                    cols = np.asarray(members)[witnesses]
-                    values[np.arange(count), cols] = bound
-            return values
-        out = np.empty((count, n))
-        for c in range(count):
-            row = base[c * n:(c + 1) * n].copy()
-            for members, bound, draws, witnesses in pred_blocks:
-                m = len(members)
-                row[members] = draws[c * m:(c + 1) * m]
-                if witnesses is not None:
-                    row[members[int(witnesses[c])]] = bound
-            out[c] = row
-        return out
+        return base, pred_blocks
 
     # ------------------------------------------------------------------
     # Decision (Algorithm 2)
@@ -288,25 +246,43 @@ class MaxProbabilisticAuditor(Auditor):
                              scope: Optional[BudgetScope],
                              gen: np.random.Generator
                              ) -> Optional[AuditDecision]:
-        members = query.sorted_indices()
+        # Incremental what-if: a predicate's posterior depends on that
+        # predicate alone, so a sampled answer can only change the verdict
+        # through the predicates its insert would create or shrink.  The
+        # current predicates are judged once; every sample's new rows are
+        # judged together in one row-wise Algorithm 1 pass.
+        members = list(query.sorted_indices())
         samples = self.sample_consistent_datasets(self.num_samples, gen)
-        unsafe = 0
+        answers = samples[:, members].max(axis=1)
+        prior = self._prior()
+        plan = self._synopsis.what_if_plan(query.query_set)
+        current = self._synopsis.items()
+        current_ok = self._rows_safe(
+            [(p.value, p.size, p.equality) for _, p in current], prior
+        )
+        unsafe_now = {pid for (pid, _), ok in zip(current, current_ok)
+                      if not ok}
+        breached = np.zeros(self.num_samples, dtype=bool)
+        rows: List[Row] = []
+        owners: List[int] = []
         for s in range(self.num_samples):
             if scope is not None:
                 # No inner MCMC chain here: one Monte Carlo draw is the
                 # natural cancellation granularity.
                 scope.checkpoint()
-            sample = samples[s]
-            answer = float(sample[list(members)].max())
-            trial = self._synopsis.copy()
-            try:
-                trial.insert(query.query_set, answer)
-            except InconsistentAnswersError:  # pragma: no cover - measure zero
-                unsafe += 1
+            outcome = plan.outcome(float(answers[s]))
+            if outcome is None:  # inconsistent: measure zero in practice
+                breached[s] = True
                 continue
-            if not algorithm1_safe(trial, self.grid, self.lam,
-                                   distribution=self.distribution):
-                unsafe += 1
+            touched, new_rows = outcome
+            if not unsafe_now.issubset(touched):
+                breached[s] = True  # an unsafe predicate survives as is
+                continue
+            rows.extend(new_rows)
+            owners.extend([s] * len(new_rows))
+        rows_ok = self._rows_safe(rows, prior)
+        breached[np.asarray(owners, dtype=np.intp)[~rows_ok]] = True
+        unsafe = int(np.count_nonzero(breached))
         if unsafe / self.num_samples > self.threshold:
             # audit: LEAK001 -- breach count from seeded *simulatable* sampling
             # over the public prior; num_samples/threshold are policy constants
@@ -316,6 +292,34 @@ class MaxProbabilisticAuditor(Auditor):
                 f"lambda band (threshold {self.threshold:.4g})",
             )
         return None
+
+    def _prior(self) -> np.ndarray:
+        """Prior bucket probabilities of the data model."""
+        if self.distribution is None:
+            return np.full(self.grid.gamma, self.grid.prior)
+        return general_prior(self.grid, self.distribution)
+
+    def _rows_safe(self, rows: List[Row], prior: np.ndarray) -> np.ndarray:
+        """Algorithm 1 per ``(value, size, equality)`` predicate row.
+
+        Matches :func:`algorithm1_safe` predicate by predicate, including
+        its verdict that every predicate is unsafe when the prior misses
+        a bucket.
+        """
+        if not rows or np.any(prior <= 0.0):
+            return np.zeros(len(rows), dtype=bool)
+        if self.distribution is None:
+            values, sizes, equality = zip(*rows)
+            posterior = max_rows_bucket_probabilities(
+                self.grid, values, sizes, np.asarray(equality, dtype=bool)
+            )
+        else:
+            posterior = np.array([
+                max_row_bucket_probabilities_general(
+                    self.grid, value, size, equality, self.distribution)
+                for value, size, equality in rows
+            ])
+        return rows_within_band(posterior, prior, self.lam)
 
     def _record_answer(self, query: Query, value: float) -> None:
         self._synopsis.insert(query.query_set, value)

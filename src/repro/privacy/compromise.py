@@ -40,6 +40,19 @@ def ratios_within_band(posterior: np.ndarray, prior: np.ndarray,
     return bool(np.all(ratios >= lo - tol) and np.all(ratios <= hi + tol))
 
 
+def rows_within_band(posterior: np.ndarray, prior: np.ndarray,
+                     lam: float, tol: float = 1e-12) -> np.ndarray:
+    """:func:`ratios_within_band` per row of an ``(R, gamma)`` posterior.
+
+    Returns an ``(R,)`` boolean array; row ``r`` is True exactly when
+    ``ratios_within_band(posterior[r], prior, lam, tol)`` is.
+    """
+    lo, hi = ratio_band(lam)
+    ratios = np.asarray(posterior, dtype=float) / np.asarray(prior, dtype=float)
+    return np.all(ratios >= lo - tol, axis=-1) & \
+        np.all(ratios <= hi + tol, axis=-1)
+
+
 def s_lambda(posterior: np.ndarray, prior: np.ndarray, lam: float) -> int:
     """The paper's ``S_lambda`` indicator: 1 when all ratios are in band."""
     return 1 if ratios_within_band(posterior, prior, lam) else 0

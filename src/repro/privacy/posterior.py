@@ -64,6 +64,31 @@ def max_predicate_bucket_probabilities(
     return probs
 
 
+def max_rows_bucket_probabilities(grid: IntervalGrid, values, sizes,
+                                  equality) -> np.ndarray:
+    """:func:`max_predicate_bucket_probabilities` for many predicates.
+
+    Row ``r`` of the ``(R, gamma)`` result is the posterior of a max
+    predicate with value ``values[r]``, ``sizes[r]`` members and form
+    ``equality[r]``.  Every cell is computed with the same float
+    operations in the same order as the one-predicate version, so the
+    two agree bitwise.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.all((grid.low < values) & (values <= grid.high)):
+        raise PrivacyParameterError(
+            f"predicate value outside ({grid.low}, {grid.high}]"
+        )
+    gamma = grid.gamma
+    scaled = (values - grid.low) / (grid.high - grid.low) * gamma
+    t = np.minimum(np.maximum(np.ceil(scaled), 1), gamma).astype(np.intp)
+    point_mass = np.where(equality, 1.0 / np.asarray(sizes), 0.0)
+    y = (1.0 - point_mass) / scaled
+    probs = np.where(np.arange(1, gamma + 1) < t[:, None], y[:, None], 0.0)
+    probs[np.arange(len(values)), t - 1] = y * (scaled - t + 1) + point_mass
+    return probs
+
+
 def general_prior(grid: IntervalGrid, distribution) -> np.ndarray:
     """Prior bucket probabilities under an arbitrary data distribution."""
     return np.array([
@@ -90,12 +115,22 @@ def max_predicate_bucket_probabilities_general(
         return general_prior(grid, distribution)
     if not predicate.is_max:
         raise PrivacyParameterError("expected a max-direction predicate")
-    m_val = predicate.value
+    return max_row_bucket_probabilities_general(
+        grid, predicate.value, predicate.size, predicate.equality,
+        distribution,
+    )
+
+
+def max_row_bucket_probabilities_general(grid: IntervalGrid, m_val: float,
+                                         size: int, equality: bool,
+                                         distribution) -> np.ndarray:
+    """General-distribution posterior of a max predicate given as a
+    ``(value, size, equality)`` row."""
     if not grid.low < m_val <= grid.high:
         raise PrivacyParameterError(
             f"predicate value {m_val} outside ({grid.low}, {grid.high}]"
         )
-    point_mass = 1.0 / predicate.size if predicate.equality else 0.0
+    point_mass = 1.0 / size if equality else 0.0
     density_mass = 1.0 - point_mass
     probs = np.array([
         density_mass * distribution.truncated_interval_probability(

@@ -336,16 +336,101 @@ class ExtremeSynopsis:
     # What-if support
     # ------------------------------------------------------------------
 
+    def what_if_plan(self, query_set: Iterable[int]) -> "WhatIfPlan":
+        """A non-mutating planner for inserting answers to ``query_set``.
+
+        The plan partitions the query once; :meth:`WhatIfPlan.outcome`
+        then reports, per candidate answer, what :meth:`insert` would do.
+        The plan is only valid until the synopsis next changes.
+        """
+        return WhatIfPlan(self, query_set)
+
     def is_consistent(self, query_set: Iterable[int], answer: float) -> bool:
         """Whether ``answer`` to ``query_set`` is consistent with the past.
 
-        Non-mutating (works on a copy).
+        Non-mutating.
         """
-        try:
-            self.copy().insert(query_set, answer)
-        except InconsistentAnswersError:
-            return False
-        return True
+        return self.what_if_plan(query_set).outcome(answer) is not None
+
+
+#: A predicate as the posterior sees it: ``(value, size, equality)``.
+Row = Tuple[float, int, bool]
+
+
+class WhatIfPlan:
+    """What :meth:`ExtremeSynopsis.insert` would do for one query set.
+
+    How the query splits over the predicates depends only on the query and
+    the past answers, so it is computed once.  :meth:`outcome` then
+    replays insert's case analysis for a candidate answer without copying
+    or mutating the synopsis: the limit check, the same-value equality
+    split, ``_strip_if_beyond`` and the witness-pool check.
+    """
+
+    def __init__(self, synopsis: ExtremeSynopsis,
+                 query_set: Iterable[int]):
+        query = set(query_set)
+        if not query:
+            raise InvalidQueryError("empty query set")
+        for i in query:
+            if not 0 <= i < synopsis.n:
+                raise InvalidQueryError(f"element {i} out of range")
+        free_part, parts = synopsis._partition(query)
+        self._synopsis = synopsis
+        self._free = len(free_part)
+        #: (pid, value, equality, |part|, |predicate|) per intersected
+        #: predicate, in pid order as insert strips them.
+        self._parts: List[Tuple[int, float, bool, int, int]] = []
+        for pid, part in sorted(parts.items()):
+            pred = synopsis._preds[pid]
+            self._parts.append(
+                (pid, pred.value, pred.equality, len(part), pred.size))
+        self._part_size = {pid: len(part) for pid, part in parts.items()}
+        # First equality predicate per value, as _find_same_value_equality.
+        self._equality_pid: Dict[float, int] = {}
+        for pid, pred in synopsis._preds.items():
+            if pred.equality:
+                self._equality_pid.setdefault(pred.value, pid)
+
+    def outcome(self, answer: float
+                ) -> Optional[Tuple[List[int], List[Row]]]:
+        """``None`` when inserting ``answer`` would raise
+        :class:`InconsistentAnswersError`; otherwise the ids of the
+        predicates the insert would drop or shrink, and the
+        ``(value, size, equality)`` rows it would create in their place
+        (new witness/strict predicates and the remainders of stripped
+        predicates).  Predicates not listed are left as they are."""
+        syn = self._synopsis
+        a = float(answer)
+        if syn.limit is not None and syn._beyond(a, syn.limit):
+            return None
+        same_pid = self._equality_pid.get(a)
+        if same_pid is not None and same_pid not in self._part_size:
+            return None
+        touched: List[int] = []
+        rows: List[Row] = []
+        stripped = self._free  # elements that join the new predicate
+        for pid, value, equality, part, size in self._parts:
+            if not syn._beyond(value, a):
+                continue
+            if equality and part == size:
+                return None  # its witness would sit beyond the answer
+            touched.append(pid)
+            stripped += part
+            if part < size:
+                rows.append((value, size - part, equality))
+        if same_pid is None:
+            if not stripped:
+                return None  # empty witness pool
+            rows.append((a, stripped, True))
+            return touched, rows
+        inside = self._part_size[same_pid]
+        outside = syn._preds[same_pid].size - inside
+        touched.append(same_pid)
+        rows.append((a, inside, True))
+        if stripped + outside:
+            rows.append((a, stripped + outside, False))
+        return touched, rows
 
 
 def MaxSynopsis(n: int, limit: Optional[float] = None) -> ExtremeSynopsis:

@@ -22,6 +22,8 @@ from repro.analysis import (
 )
 from repro.cli import main
 
+from .conftest import view
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CONC_MODULES = [("repro._fixture_conc_discipline",
                  FIXTURES / "conc_discipline.py")]
@@ -40,22 +42,24 @@ class RacyGauge:
 '''
 
 
-def full_report():
-    return analyze_package(select=["CONC", "FORK", "ATOM"])
+@pytest.fixture
+def full_report(shipped_report):
+    """The CONC/FORK/ATOM findings of the shared shipped-tree analysis."""
+    return view(shipped_report, ["CONC", "FORK", "ATOM"])
 
 
-def test_concurrency_gate():
-    report = full_report()
+def test_concurrency_gate(full_report):
+    report = full_report
     assert report.ok, (
         "concurrency/durability invariants broken — fix the finding or "
         "document it with an '# audit:' pragma:\n" + report.format_text()
     )
 
 
-def test_gate_actually_walked_the_tree():
+def test_gate_actually_walked_the_tree(full_report):
     # Anti-vacuity: a refactor that empties the escape pass or the rule
     # registration must fail here, not pass the gate for free.
-    report = full_report()
+    report = full_report
     assert set(report.rules) == {"CONC001", "CONC002", "CONC003", "CONC004",
                                  "FORK001", "FORK002", "FORK003",
                                  "ATOM001", "ATOM002"}

@@ -6,27 +6,23 @@ journalled first.  The moment a change introduces an unseeded generator, a
 wall-clock read, order-dependent iteration, an unjournalled release, or an
 uncheckpointed sampler loop without a documented ``# audit:`` pragma, this
 fails — in every pytest run and in CI.
+
+The tests read one shared analysis of the shipped tree (``conftest.py``).
 """
 
-from repro.analysis import analyze_package
 
-
-def full_report():
-    return analyze_package()
-
-
-def test_determinism_and_ordering_gate():
-    report = full_report()
+def test_determinism_and_ordering_gate(shipped_report):
+    report = shipped_report
     assert report.ok, (
         "determinism/fail-closed invariants broken — fix the finding or "
         "document it with an '# audit:' pragma:\n" + report.format_text()
     )
 
 
-def test_gate_actually_walked_the_tree():
+def test_gate_actually_walked_the_tree(shipped_report):
     # Anti-vacuity: a refactor that silently empties the root set or the
     # effect engine must fail here, not pass the gate for free.
-    report = full_report()
+    report = shipped_report
     assert set(report.rules) >= {"DET001", "DET002", "DET003", "DET004",
                                  "WAL001", "WAL002", "BUD001"}
     assert report.functions_scanned >= 300, report.functions_scanned
@@ -34,10 +30,10 @@ def test_gate_actually_walked_the_tree():
     assert report.modules_scanned >= 50, report.modules_scanned
 
 
-def test_known_documented_findings_stay_documented():
+def test_known_documented_findings_stay_documented(shipped_report):
     # The CSV exporter's caller-ordered columns are the one intentional
     # DET exception in the shipped tree.
-    report = full_report()
+    report = shipped_report
     documented = {(f.rule, f.file.rsplit("/", 1)[-1])
                   for f in report.documented}
     assert ("DET003", "export.py") in documented

@@ -22,9 +22,9 @@ from repro.analysis import (
 )
 from repro.cli import main
 
+from .conftest import LEAK_MODULES, view
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-LEAK_MODULES = [("repro._fixture_leak_channels",
-                 FIXTURES / "leak_channels.py")]
 
 LEAKY_PACKAGE_SOURCE = '''\
 def debug_dump(dataset):
@@ -32,37 +32,40 @@ def debug_dump(dataset):
 '''
 
 
-def full_report():
-    return analyze_package(select=["LEAK"])
+@pytest.fixture
+def full_report(shipped_report):
+    """The LEAK findings of the shared shipped-tree analysis."""
+    return view(shipped_report, ["LEAK"])
 
 
-@pytest.fixture(scope="module")
-def fixture_report():
-    return analyze_package(select=["LEAK"], extra_modules=LEAK_MODULES)
+@pytest.fixture
+def fixture_report(analysis_run):
+    """The LEAK findings over the shipped tree and the fixture module."""
+    return view(analysis_run, ["LEAK"])
 
 
-def test_leak_gate():
-    report = full_report()
+def test_leak_gate(full_report):
+    report = full_report
     assert report.ok, (
         "taint-flow invariants broken — scrub the channel or document it "
         "with an '# audit:' pragma:\n" + report.format_text()
     )
 
 
-def test_gate_actually_walked_the_tree():
+def test_gate_actually_walked_the_tree(full_report):
     # Anti-vacuity: a refactor that empties the taint pass or the rule
     # registration must fail here, not pass the gate for free.
-    report = full_report()
+    report = full_report
     assert set(report.rules) == {"LEAK001", "LEAK002", "LEAK003", "LEAK004"}
     assert report.functions_scanned >= 300, report.functions_scanned
     assert report.modules_scanned >= 50, report.modules_scanned
 
 
-def test_min_frequency_denials_clean_without_pragma():
+def test_min_frequency_denials_clean_without_pragma(full_report):
     # The PR fixed the real leak (query/complement sizes in denial
     # details) instead of papering over it; a pragma creeping back in
     # would silently reopen the oracle.
-    report = full_report()
+    report = full_report
     assert not [f for f in report.findings
                 if "min_frequency" in f.file], report.format_text()
 

@@ -7,21 +7,26 @@ moment any auditor (or a helper reachable from a decision path) reads
 and in CI, not just when someone remembers to run ``repro-audit lint``.
 """
 
+import pytest
+
 from repro.analysis import check_package
 
 
-def test_simulatability_gate():
-    report = check_package()
+@pytest.fixture(scope="module")
+def report():
+    return check_package()
+
+
+def test_simulatability_gate(report):
     assert report.ok, (
         "simulatability invariant broken — decision paths reach sensitive "
         "data without a documented pragma:\n" + report.format_text()
     )
 
 
-def test_gate_actually_analyzed_the_auditors():
+def test_gate_actually_analyzed_the_auditors(report):
     # Guard against the gate passing vacuously (e.g. the analyzer failing
     # to discover any Auditor subclass after a refactor).
-    report = check_package()
     assert report.classes_checked >= 10, report.format_text()
     assert report.entry_points >= 20, report.format_text()
     # The intentional straw man must remain visible as a documented finding.

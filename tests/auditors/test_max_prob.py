@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.auditors.max_prob import (
-    MaxProbabilisticAuditor,
-    algorithm1_safe,
-    algorithm1_safe_reference,
-)
+from repro.auditors.max_prob import MaxProbabilisticAuditor, algorithm1_safe
 from repro.exceptions import PrivacyParameterError
 from repro.privacy.intervals import IntervalGrid
 from repro.sdb.dataset import Dataset
@@ -45,6 +41,40 @@ def test_small_equality_set_point_mass_unsafe():
     syn = MaxSynopsis(10, limit=1.0)
     syn.insert({0, 1}, 0.99)
     assert not algorithm1_safe(syn, IntervalGrid(10), lam=0.05)
+
+
+def algorithm1_safe_reference(synopsis, grid, lam):
+    """Literal transcription of Algorithm 1 (per element, per interval).
+
+    Slow; the reference the per-predicate version is tested against.
+    """
+    gamma = grid.gamma
+    lo_band = 1.0 - lam
+    hi_band = 1.0 / (1.0 - lam)
+    tol = 1e-12
+    span = grid.high - grid.low
+    for i in range(synopsis.n):
+        pred = synopsis.predicate_of(i)
+        if pred is None:
+            continue  # posterior equals prior: every interval is safe
+        scaled = (pred.value - grid.low) / span * gamma  # M * gamma
+        t = grid.containing(pred.value)                  # ceil(M * gamma)
+        if pred.equality:
+            y = (1.0 - 1.0 / pred.size) / scaled
+            point_mass = 1.0 / pred.size
+        else:
+            y = 1.0 / scaled
+            point_mass = 0.0
+        for j in range(1, gamma + 1):
+            if j < t:
+                ratio = gamma * y
+            elif j == t:
+                ratio = gamma * (y * (scaled - t + 1) + point_mass)
+            else:
+                ratio = 0.0  # I_j lies beyond M: always unsafe
+            if not lo_band - tol <= ratio <= hi_band + tol:
+                return False
+    return True
 
 
 @st.composite
@@ -134,3 +164,45 @@ def test_denial_does_not_change_synopsis():
     before = auditor.synopsis.size
     auditor.audit(max_query([0, 1]))   # denied
     assert auditor.synopsis.size == before
+
+
+# ----------------------------------------------------------------------
+# Incremental what-if vs the full per-sample rescan
+# ----------------------------------------------------------------------
+
+@st.composite
+def audit_streams(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=5_000))
+    lam = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+    gamma = draw(st.integers(min_value=1, max_value=6))
+    delta = draw(st.sampled_from([0.3, 0.5, 0.9]))
+    gaussian = draw(st.booleans())
+    return n, seed, lam, gamma, delta, gaussian
+
+
+@given(audit_streams())
+@settings(max_examples=25, deadline=None)
+def test_incremental_what_if_matches_full_rescan(case):
+    # The scalar twin copies the synopsis, inserts and reruns Algorithm 1
+    # for every sample; the serving auditor must release the same
+    # decisions with the same breach counts in the denial text.
+    from repro.privacy.distributions import TruncatedGaussianDistribution
+    from tests.golden.workloads import ReferenceMaxProbabilisticAuditor
+
+    n, seed, lam, gamma, delta, gaussian = case
+    data = Dataset.uniform(n, rng=seed, duplicate_free=True)
+    dist = (TruncatedGaussianDistribution(data.low, data.high,
+                                          (data.low + data.high) / 2, 0.3)
+            if gaussian else None)
+    rng = np.random.default_rng(seed)
+    stream = [max_query(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                   replace=False).tolist())
+              for _ in range(15)]
+    decisions = []
+    for cls in (MaxProbabilisticAuditor, ReferenceMaxProbabilisticAuditor):
+        auditor = cls(data, lam=lam, gamma=gamma, delta=delta, rounds=4,
+                      num_samples=20, rng=seed, distribution=dist)
+        decisions.append([(d.denied, d.detail, d.value)
+                          for d in map(auditor.audit, stream)])
+    assert decisions[0] == decisions[1]

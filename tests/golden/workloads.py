@@ -7,7 +7,9 @@ decision sequence — every deny/answer bit, with answered values in
 stream: the batched NumPy serving path (``vectorized=True``), the scalar
 reference path (``vectorized=False``) and the committed golden must all
 agree float-for-float, so vectorization can never silently change a
-released decision.
+released decision.  For ``max_prob`` the reference path is
+:class:`ReferenceMaxProbabilisticAuditor`, the scalar twin of the serving
+auditor.
 
 Regenerate with ``PYTHONPATH=src python -m tests.golden.generate`` from
 the repo root (only when an *intentional* stream change lands).
@@ -21,11 +23,12 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.auditors.max_prob import MaxProbabilisticAuditor
+from repro.auditors.max_prob import MaxProbabilisticAuditor, algorithm1_safe
 from repro.auditors.maxmin_prob import MaxMinProbabilisticAuditor
 from repro.auditors.sum_prob import SumProbabilisticAuditor
+from repro.exceptions import InconsistentAnswersError
 from repro.sdb.dataset import Dataset
-from repro.types import AggregateKind, Query
+from repro.types import AggregateKind, AuditDecision, DenialReason, Query
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 NUM_QUERIES = 200
@@ -54,11 +57,65 @@ def _sum_prob(vectorized: bool):
     return auditor, _query_stream(8, 100, [AggregateKind.SUM])
 
 
+class ReferenceMaxProbabilisticAuditor(MaxProbabilisticAuditor):
+    """Scalar twin of the serving max auditor.
+
+    Assembles the consistent datasets row by row from the same pre-drawn
+    randomness blocks, and judges every sampled answer by a full
+    ``copy()`` + ``insert()`` + :func:`algorithm1_safe` rescan of the
+    synopsis — Algorithm 2 as the paper states it.  The serving auditor's
+    batched assembly and incremental what-if must release the same bits.
+    """
+
+    def sample_consistent_datasets(self, count, gen=None):
+        n = self._n
+        if count <= 0:
+            return np.empty((0, n))
+        base, pred_blocks = self._draw_sample_blocks(count, gen)
+        out = np.empty((count, n))
+        for c in range(count):
+            row = base[c * n:(c + 1) * n].copy()
+            for members, bound, draws, witnesses in pred_blocks:
+                m = len(members)
+                row[members] = draws[c * m:(c + 1) * m]
+                if witnesses is not None:
+                    row[members[int(witnesses[c])]] = bound
+            out[c] = row
+        return out
+
+    def _deny_reason_sampled(self, query, scope, gen):
+        members = query.sorted_indices()
+        samples = self.sample_consistent_datasets(self.num_samples, gen)
+        unsafe = 0
+        for s in range(self.num_samples):
+            if scope is not None:
+                scope.checkpoint()
+            answer = float(samples[s][list(members)].max())
+            trial = self._synopsis.copy()
+            try:
+                trial.insert(query.query_set, answer)
+            except InconsistentAnswersError:
+                unsafe += 1
+                continue
+            if not algorithm1_safe(trial, self.grid, self.lam,
+                                   distribution=self.distribution):
+                unsafe += 1
+        if unsafe / self.num_samples > self.threshold:
+            return AuditDecision.deny(
+                DenialReason.PARTIAL_DISCLOSURE,
+                f"{unsafe}/{self.num_samples} sampled answers breach the "
+                f"lambda band (threshold {self.threshold:.4g})",
+            )
+        return None
+
+
 def _max_prob(vectorized: bool):
     dataset = Dataset.uniform(40, rng=7, duplicate_free=True)
-    auditor = MaxProbabilisticAuditor(
+    cls = (MaxProbabilisticAuditor if vectorized
+           else ReferenceMaxProbabilisticAuditor)
+    auditor = cls(
         dataset, lam=0.3, gamma=4, delta=0.5, rounds=5,
-        num_samples=40, rng=12, vectorized=vectorized,
+        num_samples=40, rng=12,
     )
     return auditor, _query_stream(40, 101, [AggregateKind.MAX])
 
