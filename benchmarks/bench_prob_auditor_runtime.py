@@ -3,8 +3,10 @@
 Two claims, one artifact.  First, this repo's serving-path claim: the
 batched NumPy hot paths (hit-and-run ensembles, coloring-chain runs, the
 max auditor's incremental what-if) beat the scalar reference
-implementations by >= 3x — while releasing bitwise-identical decision
-streams, which every measurement below re-asserts.  Second, the paper's
+implementations by >= 3x, and the max-min auditor's fused colouring-chain
+sampling beats its scalar twin by >= 1.5x — while releasing
+bitwise-identical decision streams, which every measurement below
+re-asserts.  Second, the paper's
 §3.1 comparison: the closed-form probabilistic max auditor is "decidedly
 more efficient" than the polytope-sampling probabilistic sum auditor of
 [21].
@@ -33,7 +35,10 @@ from repro.reporting.tables import format_table
 from repro.sdb.dataset import Dataset
 from repro.synopsis.combined import CombinedSynopsis
 from repro.types import AggregateKind, Query, max_query, sum_query
-from tests.golden.workloads import ReferenceMaxProbabilisticAuditor
+from tests.golden.workloads import (
+    ReferenceMaxMinProbabilisticAuditor,
+    ReferenceMaxProbabilisticAuditor,
+)
 
 from .conftest import run_once
 
@@ -44,6 +49,11 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / \
 #: polytope ensemble estimator, the batched coloring kernel and the max
 #: auditor's incremental what-if).
 SPEEDUP_FLOOR = 3.0
+#: Floor for the max-min auditor's fused colouring-chain sampling.  Its
+#: decide time also holds the structural guard, the what-if synopses and
+#: the graph set-up, which both paths share, so its ratio is gated on
+#: its own, lower floor.
+MAXMIN_SPEEDUP_FLOOR = 1.5
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +95,11 @@ def _max_prob_workload(vectorized):
 
 def _maxmin_prob_workload(vectorized):
     dataset = Dataset.uniform(24, rng=3, duplicate_free=True)
-    auditor = MaxMinProbabilisticAuditor(
+    cls = (MaxMinProbabilisticAuditor if vectorized
+           else ReferenceMaxMinProbabilisticAuditor)
+    auditor = cls(
         dataset, lam=0.35, gamma=4, delta=0.6, rounds=4,
-        num_outer=6, num_inner=150, rng=13, vectorized=vectorized,
+        num_outer=6, num_inner=150, rng=13,
     )
     return auditor, _query_stream(
         24, 51, [AggregateKind.MAX, AggregateKind.MIN], 10
@@ -197,6 +209,7 @@ def _measure_vectorization():
     return {
         "benchmark": "prob_auditor_runtime",
         "speedup_floor": SPEEDUP_FLOOR,
+        "maxmin_speedup_floor": MAXMIN_SPEEDUP_FLOOR,
         "serving_workloads": serving,
         "kernels": kernels,
         "hot_path_min_speedup": min(hot_path_speedups),
@@ -222,10 +235,10 @@ def test_vectorized_hot_paths_meet_speedup_floor(benchmark):
     for name, result in serving.items():
         assert result["decisions_identical"], name
     assert report["kernels"]["hit_and_run_ensemble"]["bitwise_identical"]
-    # ... and must clear the floor wherever batching applies (maxmin_prob
-    # serving is dominated by many short single-chain coloring runs; its
-    # ratio is reported, not gated).
+    # ... and must clear the floor wherever batching applies; the
+    # max-min auditor clears its own.
     assert report["hot_path_min_speedup"] >= SPEEDUP_FLOOR
+    assert serving["maxmin_prob"]["speedup"] >= MAXMIN_SPEEDUP_FLOOR
 
 
 # ----------------------------------------------------------------------

@@ -62,11 +62,6 @@ class MaxMinProbabilisticAuditor(Auditor):
         set, decisions run under its deadline/step caps with bounded
         retry-and-reseed and fail closed to a ``RESOURCE_EXHAUSTED``
         denial on exhaustion.
-    vectorized:
-        Whether the colouring chain resolves proposals in batches
-        (default) or one transition at a time from the same pre-drawn
-        randomness blocks; both modes release bitwise-identical
-        decisions.
     """
 
     supported_kinds = frozenset({AggregateKind.MAX, AggregateKind.MIN})
@@ -76,8 +71,7 @@ class MaxMinProbabilisticAuditor(Auditor):
                  num_outer: int = 8, num_inner: int = 120,
                  mc_tolerance: float = 0.15, rng: RngLike = None,
                  budget: Optional[Budget] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 vectorized: bool = True):
+                 breaker: Optional[CircuitBreaker] = None):
         super().__init__(dataset)
         dataset.require_duplicate_free()
         if not 0 < delta < 1:
@@ -93,7 +87,6 @@ class MaxMinProbabilisticAuditor(Auditor):
         self._rng = as_generator(rng)
         self.budget = budget
         self.breaker = breaker
-        self.vectorized = vectorized
         self._synopsis = CombinedSynopsis(dataset.n, dataset.low, dataset.high)
         self._answers: List[float] = []
 
@@ -154,8 +147,7 @@ class MaxMinProbabilisticAuditor(Auditor):
             seed_dataset = list(self.dataset.values)
         return PosteriorSampler(synopsis, initial_dataset=seed_dataset,
                                 rng=self._rng if gen is None else gen,
-                                checkpoint=checkpoint,
-                                vectorized=self.vectorized)
+                                checkpoint=checkpoint)
 
     def _posterior_buckets(self, synopsis: CombinedSynopsis,
                            seed_dataset: List[float],

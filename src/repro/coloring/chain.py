@@ -11,28 +11,14 @@ all ``v``; Lemma 3 gives ``O(k log k)`` mixing under the stronger condition
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ColoringError
 from ..resilience.faults import fault_site
-from ..rng import (
-    RngLike,
-    as_generator,
-    choice_cdf,
-    choice_from_cdf,
-    integer_block,
-    uniform_block,
-)
+from ..rng import RngLike, as_generator, chain_blocks, choice_cdf
 from .graph import Coloring, ColoringGraph
-
-#: Below this many transitions the per-call overhead of the batched
-#: searchsorted resolution (np.unique + boolean masks) exceeds its gain,
-#: so :meth:`ColoringChain.run` resolves proposals scalar-wise.  Both
-#: resolutions are bitwise-identical, so the crossover is purely a
-#: performance heuristic.
-BATCH_MIN_STEPS = 64
 
 
 class ColoringChain:
@@ -42,33 +28,31 @@ class ColoringChain:
     once per transition (see
     :meth:`repro.resilience.budget.BudgetScope.checkpoint`).
 
-    :meth:`run` pre-draws its randomness in a canonical block order (all
-    node picks, then all proposal positions) and resolves proposals from
-    per-node cumulative tables; with ``vectorized=True`` (the default)
-    the searchsorted lookups are batched per node, with
-    ``vectorized=False`` they are resolved one transition at a time from
-    the *same* blocks — the two modes are bitwise-identical, which the
-    differential suite asserts.  :meth:`step` keeps the original
+    :meth:`run_many` is the kernel: for a list of run lengths it draws
+    every run's randomness with one :func:`~repro.rng.chain_blocks` call
+    (per run, all node picks, then all proposal positions), resolves all
+    proposals with one batched per-node lookup into precomputed
+    cumulative tables, and applies the accept/reject sweep sequentially.
+    :meth:`run` is its one-run case.  :meth:`step` keeps the original
     per-transition draw order for callers that interleave other draws.
     """
 
     def __init__(self, graph: ColoringGraph, initial: Coloring,
                  rng: RngLike = None,
-                 checkpoint: Optional[Callable[[], None]] = None,
-                 vectorized: bool = True):
+                 checkpoint: Optional[Callable[[], None]] = None):
         if not graph.is_valid(initial):
             raise ColoringError("initial coloring is not valid")
         self.graph = graph
         self.state: Coloring = dict(initial)
         self._rng = as_generator(rng)
         self._checkpoint = checkpoint
-        self.vectorized = vectorized
         # Pre-compute per-node colour lists, proposal probabilities, the
         # cumulative tables ``Generator.choice`` would build per call, and
         # adjacency lists (so the accept loop never re-walks the graph).
         self._colors: List[List[int]] = []
         self._probs: List[np.ndarray] = []
         self._cdfs: List[Optional[np.ndarray]] = []
+        self._colour_arrays: List[np.ndarray] = []
         self._neighbors: List[List[int]] = []
         for node in graph.nodes:
             colours = sorted(node.elements)
@@ -77,6 +61,7 @@ class ColoringChain:
                 dtype=float,
             )
             self._colors.append(colours)
+            self._colour_arrays.append(np.array(colours, dtype=np.intp))
             self._probs.append(weights / weights.sum())
             self._cdfs.append(
                 choice_cdf(weights) if len(colours) > 1 else None
@@ -116,59 +101,70 @@ class ColoringChain:
         return True
 
     def run(self, steps: int) -> Coloring:
-        """Advance ``steps`` transitions and return the current colouring.
+        """Advance ``steps`` transitions and return the current colouring."""
+        self.run_many([steps])
+        return dict(self.state)
 
-        Draws the whole randomness block up front (node picks, then
-        proposal positions — one position per transition whether or not
-        the picked node has a choice to make), resolves proposals from
-        the precomputed per-node cumulative tables, and applies the
-        accept/reject sweep sequentially.  Fault sites and cancellation
-        checkpoints still fire once per transition.
+    def run_many(self, runs: Sequence[int]) -> np.ndarray:
+        """Advance through consecutive runs of ``runs[r]`` transitions.
+
+        Returns the ``(len(runs), k)`` colourings (row ``r`` maps node id
+        to colour) after each run.  The chain moves exactly as it would
+        under one :meth:`run` call per run length, bitwise: each run's
+        randomness block is drawn in the same order (node picks, then
+        one proposal position per transition whether or not the picked
+        node has a choice to make), all from one
+        :func:`~repro.rng.chain_blocks` call.  Fault sites and
+        cancellation checkpoints still fire once per transition.
         """
-        if steps <= 0:
-            return dict(self.state)
+        runs = [max(0, int(s)) for s in runs]
         checkpoint = self._checkpoint
         k = self.graph.k
+        out = np.empty((len(runs), k), dtype=np.intp)
         if k == 0:
-            for _ in range(steps):
+            for _ in range(sum(runs)):
                 fault_site("coloring.step")
                 if checkpoint is not None:
                     checkpoint()
-            return dict(self.state)
-        v_block = integer_block(self._rng, k, steps)
-        u_block = uniform_block(self._rng, steps)
-        if self.vectorized and steps >= BATCH_MIN_STEPS:
-            proposal_idx = np.zeros(steps, dtype=np.intp)
-            for v in np.unique(v_block):
-                cdf = self._cdfs[v]
-                if cdf is not None:
-                    sel = v_block == v
-                    proposal_idx[sel] = cdf.searchsorted(u_block[sel],
-                                                         side="right")
-        else:
-            proposal_idx = None
-        state = self.state
-        for s in range(steps):
-            fault_site("coloring.step")
-            if checkpoint is not None:
-                checkpoint()
-            v = int(v_block[s])
-            colours = self._colors[v]
-            if len(colours) == 1:
-                continue
-            if proposal_idx is None:
-                idx = int(choice_from_cdf(self._cdfs[v], u_block[s]))
-            else:
-                idx = int(proposal_idx[s])
-            proposal = colours[idx]
-            if proposal == state[v]:
-                continue
-            for nb in self._neighbors[v]:
-                if state[nb] == proposal:
-                    break
-            else:
-                state[v] = proposal
-        return dict(self.state)
+            return out
+        v_block, u_block = chain_blocks(self._rng, k, runs)
+        # Every transition's proposed colour.  A single-colour node always
+        # proposes its current colour, which the sweep then keeps.
+        proposal_block = np.empty(len(v_block), dtype=np.intp)
+        for v in np.unique(v_block).tolist():
+            sel = v_block == v
+            cdf = self._cdfs[v]
+            idx = (0 if cdf is None
+                   else cdf.searchsorted(u_block[sel], side="right"))
+            proposal_block[sel] = self._colour_arrays[v][idx]
+        picks = v_block.tolist()
+        proposals = proposal_block.tolist()
+        neighbors = self._neighbors
+        state = [self.state[v] for v in range(k)]
+        start = 0
+        try:
+            for r, steps in enumerate(runs):
+                for s in range(start, start + steps):
+                    fault_site("coloring.step")
+                    if checkpoint is not None:
+                        checkpoint()
+                    v = picks[s]
+                    proposal = proposals[s]
+                    if proposal == state[v]:
+                        continue
+                    for nb in neighbors[v]:
+                        if state[nb] == proposal:
+                            break
+                    else:
+                        state[v] = proposal
+                start += steps
+                out[r] = state
+        finally:
+            # A raising fault site or checkpoint leaves the chain where
+            # it stopped, as per-transition updates would.
+            for v in range(k):
+                self.state[v] = state[v]
+        return out
 
     def default_steps(self, safety: float = 4.0) -> int:
         """A mixing budget of ``O(k log k)`` steps (Lemma 3)."""

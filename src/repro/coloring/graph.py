@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from ..exceptions import ColoringError
-from ..synopsis.combined import CombinedSynopsis
+from ..synopsis.combined import CombinedSynopsis, ElementRange
 
 Coloring = Dict[int, int]  # node id -> element (colour)
 
@@ -42,6 +42,9 @@ class ColoringGraph:
 
     def __init__(self, synopsis: CombinedSynopsis):
         self.synopsis = synopsis
+        #: Every element's feasible interval ``R_i``, as the synopsis
+        #: stood when the graph was built.
+        self.ranges: List[ElementRange] = synopsis.ranges()
         self.nodes: List[ColoringNode] = []
         for pred in synopsis.equality_predicates():
             self.nodes.append(ColoringNode(
@@ -59,7 +62,7 @@ class ColoringGraph:
         for node in self.nodes:
             for element in node.elements:
                 if element not in self.weights:
-                    length = synopsis.range_of(element).length
+                    length = self.ranges[element].length
                     # Propagation guarantees multi-element predicates only
                     # contain elements with non-degenerate ranges; singleton
                     # predicates have a single forced colour whose weight

@@ -35,17 +35,17 @@ def dataset_from_coloring(graph: ColoringGraph, coloring: Coloring,
     ``Generator.uniform`` calls it replaces.
     """
     gen = as_generator(rng)
-    synopsis = graph.synopsis
-    values: List[Optional[float]] = [None] * synopsis.n
+    n = graph.synopsis.n
+    values: List[Optional[float]] = [None] * n
     for node in graph.nodes:
         values[coloring[node.node_id]] = node.value
     free: List[int] = []
     lows: List[float] = []
     highs: List[float] = []
-    for i in range(synopsis.n):
+    for i in range(n):
         if values[i] is not None:
             continue
-        rng_i = synopsis.range_of(i)
+        rng_i = graph.ranges[i]
         if rng_i.is_point:
             values[i] = rng_i.lo
         else:
@@ -78,10 +78,6 @@ class PosteriorSampler:
     checkpoint:
         Optional cooperative-cancellation hook, invoked once per chain
         transition (see :class:`repro.resilience.budget.BudgetScope`).
-    vectorized:
-        Whether the underlying chain resolves proposals in batches; the
-        scalar reference path (``False``) is bitwise-identical (see
-        :class:`ColoringChain`).
     """
 
     def __init__(self, synopsis: CombinedSynopsis,
@@ -89,8 +85,7 @@ class PosteriorSampler:
                  rng: RngLike = None,
                  burn_in: Optional[int] = None,
                  thin: Optional[int] = None,
-                 checkpoint: Optional[Callable[[], None]] = None,
-                 vectorized: bool = True):
+                 checkpoint: Optional[Callable[[], None]] = None):
         self._rng = as_generator(rng)
         self.graph = ColoringGraph(synopsis)
         if initial_dataset is not None:
@@ -100,8 +95,7 @@ class PosteriorSampler:
         else:
             initial = {}
         self.chain = ColoringChain(self.graph, initial, rng=self._rng,
-                                   checkpoint=checkpoint,
-                                   vectorized=vectorized)
+                                   checkpoint=checkpoint)
         default = self.chain.default_steps()
         self.burn_in = default if burn_in is None else burn_in
         self.thin = max(1, default // 4) if thin is None else thin
@@ -129,20 +123,26 @@ class PosteriorSampler:
         """Monte Carlo estimate of ``Pr{c(v) = i | B}`` per node.
 
         Returns ``{node_id: {element: probability}}`` from ``count`` thinned
-        colouring samples (no dataset materialisation needed).
+        colouring samples (no dataset materialisation needed), with each
+        node's elements in increasing order.  The samples are the ones
+        ``count`` :meth:`sample_coloring` calls would draw, taken in one
+        :meth:`ColoringChain.run_many` pass; each probability is
+        ``hits / count``.
         """
-        counts: Dict[int, Dict[int, float]] = {
+        probs: Dict[int, Dict[int, float]] = {
             node.node_id: {} for node in self.graph.nodes
         }
-        for _ in range(count):
-            coloring = self.sample_coloring()
-            for node_id, element in coloring.items():
-                bucket = counts[node_id]
-                bucket[element] = bucket.get(element, 0.0) + 1.0
-        for node_id, bucket in sorted(counts.items()):
-            for element in sorted(bucket):
-                bucket[element] /= count
-        return counts
+        if count <= 0:
+            return probs
+        first = self.thin if self._warmed else self.burn_in
+        states = self.chain.run_many([first] + [self.thin] * (count - 1))
+        self._warmed = True
+        for node_id, witnesses in zip(probs, states.T):
+            elements, hits = np.unique(witnesses, return_counts=True)
+            probs[node_id] = {
+                int(e): int(h) / count for e, h in zip(elements, hits)
+            }
+        return probs
 
     def estimate_interval_probabilities(
         self, count: int, edges: np.ndarray
@@ -160,8 +160,7 @@ class PosteriorSampler:
         Returns an ``(n, gamma)`` matrix; ``edges`` has ``gamma + 1``
         increasing bucket boundaries.
         """
-        synopsis = self.graph.synopsis
-        n = synopsis.n
+        n = self.graph.synopsis.n
         gamma = len(edges) - 1
         witness = self.estimate_witness_probabilities(count) if count else {}
         probs = np.zeros((n, gamma), dtype=float)
@@ -173,8 +172,7 @@ class PosteriorSampler:
                 probs[element, bucket_idx] += pi
                 point_mass[element] += pi
         # Exact uniform mass over each element's range for the rest.
-        for i in range(n):
-            rng_i = synopsis.range_of(i)
+        for i, rng_i in enumerate(self.graph.ranges):
             remaining = 1.0 - point_mass[i]
             if remaining <= 0.0:
                 continue

@@ -25,6 +25,11 @@ from ..synopsis.predicates import SynopsisPredicate
 from .intervals import IntervalGrid
 
 
+#: A value so close above ``grid.low`` that its position in grid units
+#: underflows to 0 has no density to spread below it.
+_UNDERFLOW = "predicate value underflows to the bottom of the grid range"
+
+
 def uniform_prior(grid: IntervalGrid) -> np.ndarray:
     """Prior bucket probabilities (uniform data): ``1/gamma`` each."""
     return np.full(grid.gamma, grid.prior)
@@ -52,6 +57,8 @@ def max_predicate_bucket_probabilities(
         )
     # Work in grid units: scaled position of M in (0, gamma].
     scaled = (m_val - grid.low) / (grid.high - grid.low) * gamma
+    if not scaled > 0.0:
+        raise PrivacyParameterError(_UNDERFLOW)
     t = grid.containing(m_val)  # 1-based containing bucket, ceil(M * gamma)
     probs = np.zeros(gamma)
     point_mass = 1.0 / predicate.size if predicate.equality else 0.0
@@ -81,6 +88,8 @@ def max_rows_bucket_probabilities(grid: IntervalGrid, values, sizes,
         )
     gamma = grid.gamma
     scaled = (values - grid.low) / (grid.high - grid.low) * gamma
+    if not np.all(scaled > 0.0):
+        raise PrivacyParameterError(_UNDERFLOW)
     t = np.minimum(np.maximum(np.ceil(scaled), 1), gamma).astype(np.intp)
     point_mass = np.where(equality, 1.0 / np.asarray(sizes), 0.0)
     y = (1.0 - point_mass) / scaled

@@ -18,7 +18,8 @@ differential replay suite under ``tests/golden/`` locks in.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+import functools
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +91,141 @@ def integer_block(gen: np.random.Generator, bound: int,
     """``count`` draws from ``range(bound)``; block == successive scalars
     (Lemire rejection consumes the stream per element in fill order)."""
     return gen.integers(bound, size=count)
+
+
+_UINT32_SPAN = 2 ** 32
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def chain_blocks(gen: np.random.Generator, bound: int,
+                 runs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The :func:`integer_block` / :func:`uniform_block` pairs of many runs.
+
+    For each ``s`` in ``runs`` (non-negative), in order, the per-run
+    calls ``integer_block(gen, bound, s)`` then ``uniform_block(gen, s)``
+    are what this returns: all integer blocks concatenated, and all
+    uniform blocks concatenated.  ``gen`` is left in exactly the state
+    those calls would leave it in.
+
+    For a PCG64 generator every value is decoded from one
+    ``random_raw`` draw (see :func:`_decode_pcg64_chain_blocks`), which
+    removes the per-call overhead that dominates short runs.  The
+    per-run calls are made instead when the generator is not PCG64,
+    when ``bound`` lies outside NumPy's 32-bit integer path, when a
+    draw would hit a Lemire rejection, or when the once-per-process
+    self-check of the decoder against NumPy's own calls fails — so the
+    result is bitwise identical under any NumPy.
+    """
+    runs = [int(s) for s in runs]
+    if runs and min(runs) < 0:
+        raise ValueError("run lengths must be non-negative")
+    if (type(gen.bit_generator) is np.random.PCG64
+            and 1 <= bound <= _UINT32_SPAN and _decoder_matches_numpy()):
+        blocks = _decode_pcg64_chain_blocks(gen, bound, runs)
+        if blocks is not None:
+            return blocks
+    return _per_run_chain_blocks(gen, bound, runs)
+
+
+def _per_run_chain_blocks(gen: np.random.Generator, bound: int,
+                          runs: Sequence[int]
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    ints = [np.empty(0, dtype=np.int64)]
+    uniforms = [np.empty(0)]
+    for s in runs:
+        ints.append(integer_block(gen, bound, s))
+        uniforms.append(uniform_block(gen, s))
+    return np.concatenate(ints), np.concatenate(uniforms)
+
+
+def _decode_pcg64_chain_blocks(gen: np.random.Generator, bound: int,
+                               runs: Sequence[int]
+                               ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`chain_blocks` decoded from one raw PCG64 draw.
+
+    The contract mirrors NumPy's own fill loops:
+
+    * ``random()`` consumes one 64-bit word per double and returns
+      ``(w >> 11) * 2**-53``;
+    * ``integers(bound)`` (``bound <= 2**32``) consumes one 32-bit half
+      word per value through the bit generator's ``has_uint32`` /
+      ``uinteger`` buffer — a fresh word yields its low half and
+      buffers its high half for the next integer draw, in this call or
+      a later one, and ``random()`` never touches the buffer — and maps
+      a half ``h`` to ``(h * bound) >> 32`` unless Lemire's test
+      ``(h * bound) mod 2**32 < (2**32 - bound) % bound`` asks for a
+      redraw;
+    * ``bound == 1`` consumes nothing.
+
+    ``random_raw`` advances the state word by word without touching the
+    buffer, so the buffer is read before the draw and written back
+    after it.  Returns ``None``, with ``gen`` restored to its state on
+    entry, when any value would need a Lemire redraw.
+    """
+    bit_gen = gen.bit_generator
+    saved = bit_gen.state
+    carry = int(saved["has_uint32"])
+    lengths = np.asarray(runs, dtype=np.int64)
+    total = int(lengths.sum())
+    # Words each run's integer block takes: the halves still needed
+    # after the buffered one, two per word.
+    if bound == 1:
+        int_words = np.zeros_like(lengths)
+    else:
+        needed = np.maximum(np.cumsum(lengths) - carry, 0)
+        int_words = np.diff((needed + 1) // 2, prepend=0)
+    layout = np.empty(2 * len(runs), dtype=np.int64)
+    layout[0::2] = int_words
+    layout[1::2] = lengths
+    raw = bit_gen.random_raw(int(layout.sum()))
+    is_int = np.repeat(np.tile([True, False], len(runs)), layout)
+    uniforms = (raw[~is_int] >> np.uint64(11)).astype(float) * 2.0 ** -53
+    if bound == 1:
+        return np.zeros(total, dtype=np.int64), uniforms
+    words = raw[is_int]
+    halves = np.empty(carry + 2 * len(words), dtype=np.uint64)
+    if carry:
+        halves[0] = saved["uinteger"]
+    halves[carry::2] = words & _LOW32
+    halves[carry + 1::2] = words >> np.uint64(32)
+    scaled = halves[:total] * np.uint64(bound)
+    threshold = (_UINT32_SPAN - bound) % bound
+    if threshold and bool(((scaled & _LOW32) < threshold).any()):
+        bit_gen.state = saved
+        return None
+    left = len(halves) - total
+    if len(words) or left != carry:
+        state = bit_gen.state
+        state["has_uint32"] = left
+        if len(words):
+            # NumPy leaves the last buffered half in place once consumed.
+            state["uinteger"] = int(words[-1] >> np.uint64(32))
+        bit_gen.state = state
+    return (scaled >> np.uint64(32)).astype(np.int64), uniforms
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder_matches_numpy() -> bool:
+    """Whether the raw-draw decoder reproduces this NumPy's own calls
+    (values and final bit-generator state) on fixed cases covering an
+    empty buffer, a buffered half, ``bound == 1`` and empty runs."""
+    cases = ((7, [5, 0, 3, 8], False), (40, [9, 8, 1, 8], True),
+             (1, [4, 2], True), (65_537, [0, 6, 7], False))
+    for bound, runs, buffered in cases:
+        ours = np.random.default_rng(bound)
+        numpy_calls = np.random.default_rng(bound)
+        if buffered:
+            ours.integers(3)
+            numpy_calls.integers(3)
+        got = _decode_pcg64_chain_blocks(ours, bound, runs)
+        want = _per_run_chain_blocks(numpy_calls, bound, runs)
+        if (got is None
+                or got[0].tolist() != want[0].tolist()
+                or got[1].tobytes() != want[1].tobytes()
+                or ours.bit_generator.state
+                != numpy_calls.bit_generator.state):
+            return False
+    return True
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:

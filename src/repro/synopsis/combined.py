@@ -94,7 +94,18 @@ class CombinedSynopsis:
 
     def range_of(self, element: int) -> ElementRange:
         """The feasible interval ``R_element``."""
+        return self._range(element, self.determined)
+
+    def ranges(self) -> List[ElementRange]:
+        """Every element's feasible interval, ``[R_0, ..., R_{n-1}]``.
+
+        Equal to ``[range_of(i) for i in range(n)]``, with the determined
+        elements gathered once instead of once per element.
+        """
         det = self.determined
+        return [self._range(i, det) for i in range(self.n)]
+
+    def _range(self, element: int, det: Dict[int, float]) -> ElementRange:
         if element in det:
             v = det[element]
             return ElementRange(v, True, v, True)
@@ -267,8 +278,7 @@ class CombinedSynopsis:
         return False
 
     def _check_ranges(self) -> None:
-        for i in range(self.n):
-            rng = self.range_of(i)
+        for i, rng in enumerate(self.ranges()):
             if rng.lo > rng.hi:
                 raise InconsistentAnswersError(
                     f"element {i} has an empty feasible range"

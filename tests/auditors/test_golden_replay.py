@@ -2,8 +2,9 @@
 
 Three-way bitwise agreement per probabilistic auditor: the vectorized
 serving path, the scalar reference path (same pre-drawn randomness,
-original per-step operations; for max the
-``ReferenceMaxProbabilisticAuditor`` twin), and the golden decision
+original per-step operations; for max and max-min the
+``ReferenceMaxProbabilisticAuditor`` and
+``ReferenceMaxMinProbabilisticAuditor`` twins), and the golden decision
 sequence under ``tests/golden/`` must produce float-for-float identical
 deny/answer streams.  A mismatch means a kernel change silently altered a released
 decision — exactly the regression this suite exists to catch.

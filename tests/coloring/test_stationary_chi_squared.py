@@ -4,9 +4,9 @@ A 4-node colouring graph (two max, two min predicates over 8 elements)
 has exactly 47 valid colourings whose single-site flip graph is
 connected, so the chain is irreducible and detailed balance pins the
 stationary distribution to ``P~(c) ∝ Π_v ℓ_{c(v)}``.  Empirical
-visit frequencies of the vectorized :meth:`run` are compared against the
-exact enumeration with a chi-squared statistic; the critical value is
-hardcoded (no scipy in the image).
+visit frequencies of the fused :meth:`run_many` kernel are compared
+against the exact enumeration with a chi-squared statistic; the critical
+value is hardcoded (no scipy in the image).
 """
 
 import math
@@ -67,14 +67,11 @@ def test_vectorized_chain_stationary_frequencies_chi_squared():
     graph = four_node_graph()
     exact = exact_distribution(graph)
     assert len(exact) == 47  # keeps the hardcoded df=46 critical honest
-    chain = ColoringChain(graph, graph.find_valid_coloring(), rng=5,
-                          vectorized=True)
-    chain.run(2000)  # burn-in
+    chain = ColoringChain(graph, graph.find_valid_coloring(), rng=5)
     draws = 40_000
-    counts = Counter()
-    for _ in range(draws):
-        chain.run(7)
-        counts[tuple(sorted(chain.state.items()))] += 1
+    # A 2000-step burn-in, then one row per 7-step thinned draw.
+    rows = chain.run_many([2000] + [7] * draws)[1:]
+    counts = Counter(tuple(enumerate(row)) for row in rows.tolist())
     chi2 = sum((counts.get(key, 0) - draws * p) ** 2 / (draws * p)
                for key, p in exact.items())
     # Observed ~42 at this seed; thinned draws are mildly correlated, so

@@ -7,9 +7,11 @@ decision sequence — every deny/answer bit, with answered values in
 stream: the batched NumPy serving path (``vectorized=True``), the scalar
 reference path (``vectorized=False``) and the committed golden must all
 agree float-for-float, so vectorization can never silently change a
-released decision.  For ``max_prob`` the reference path is
-:class:`ReferenceMaxProbabilisticAuditor`, the scalar twin of the serving
-auditor.
+released decision.  For ``sum_prob`` the reference path is the auditor's
+own ``vectorized=False`` mode; for ``max_prob`` and ``maxmin_prob`` it is
+the scalar twin of the serving auditor defined here
+(:class:`ReferenceMaxProbabilisticAuditor`,
+:class:`ReferenceMaxMinProbabilisticAuditor`).
 
 Regenerate with ``PYTHONPATH=src python -m tests.golden.generate`` from
 the repo root (only when an *intentional* stream change lands).
@@ -26,7 +28,11 @@ import numpy as np
 from repro.auditors.max_prob import MaxProbabilisticAuditor, algorithm1_safe
 from repro.auditors.maxmin_prob import MaxMinProbabilisticAuditor
 from repro.auditors.sum_prob import SumProbabilisticAuditor
+from repro.coloring.chain import ColoringChain
+from repro.coloring.sampler import PosteriorSampler, _containing_bucket
 from repro.exceptions import InconsistentAnswersError
+from repro.resilience.faults import fault_site
+from repro.rng import choice_from_cdf, integer_block, uniform_block
 from repro.sdb.dataset import Dataset
 from repro.types import AggregateKind, AuditDecision, DenialReason, Query
 
@@ -120,11 +126,123 @@ def _max_prob(vectorized: bool):
     return auditor, _query_stream(40, 101, [AggregateKind.MAX])
 
 
+class ReferenceColoringChain(ColoringChain):
+    """Scalar twin of the colouring-chain kernel.
+
+    Each :meth:`run` draws its own node-pick and proposal-position blocks
+    with the per-run NumPy calls and resolves each proposal on its own
+    with :func:`choice_from_cdf`.  :meth:`ColoringChain.run_many` must
+    move the chain through the same colourings.
+    """
+
+    def run(self, steps):
+        if steps <= 0:
+            return dict(self.state)
+        checkpoint = self._checkpoint
+        k = self.graph.k
+        if k == 0:
+            for _ in range(steps):
+                fault_site("coloring.step")
+                if checkpoint is not None:
+                    checkpoint()
+            return dict(self.state)
+        v_block = integer_block(self._rng, k, steps)
+        u_block = uniform_block(self._rng, steps)
+        state = self.state
+        for s in range(steps):
+            fault_site("coloring.step")
+            if checkpoint is not None:
+                checkpoint()
+            v = int(v_block[s])
+            colours = self._colors[v]
+            if len(colours) == 1:
+                continue
+            proposal = colours[int(choice_from_cdf(self._cdfs[v],
+                                                   u_block[s]))]
+            if proposal == state[v]:
+                continue
+            for nb in self._neighbors[v]:
+                if state[nb] == proposal:
+                    break
+            else:
+                state[v] = proposal
+        return dict(self.state)
+
+
+class ReferencePosteriorSampler(PosteriorSampler):
+    """Scalar twin of the posterior sampler: a
+    :class:`ReferenceColoringChain`, one :meth:`sample_coloring` per
+    witness sample tallied into dicts, and element ranges read one
+    ``range_of`` call at a time."""
+
+    def __init__(self, synopsis, initial_dataset=None, rng=None,
+                 burn_in=None, thin=None, checkpoint=None):
+        super().__init__(synopsis, initial_dataset=initial_dataset, rng=rng,
+                         burn_in=burn_in, thin=thin, checkpoint=checkpoint)
+        self.chain = ReferenceColoringChain(
+            self.graph, self.chain.state, rng=self._rng,
+            checkpoint=checkpoint)
+
+    def estimate_witness_probabilities(self, count):
+        counts = {node.node_id: {} for node in self.graph.nodes}
+        for _ in range(count):
+            coloring = self.sample_coloring()
+            for node_id, element in coloring.items():
+                bucket = counts[node_id]
+                bucket[element] = bucket.get(element, 0.0) + 1.0
+        for node_id, bucket in sorted(counts.items()):
+            for element in sorted(bucket):
+                bucket[element] /= count
+        return counts
+
+    def estimate_interval_probabilities(self, count, edges):
+        synopsis = self.graph.synopsis
+        n = synopsis.n
+        gamma = len(edges) - 1
+        witness = self.estimate_witness_probabilities(count) if count else {}
+        probs = np.zeros((n, gamma), dtype=float)
+        point_mass = np.zeros(n)
+        for node in self.graph.nodes:
+            bucket_idx = _containing_bucket(edges, node.value)
+            for element, pi in witness.get(node.node_id, {}).items():
+                probs[element, bucket_idx] += pi
+                point_mass[element] += pi
+        for i in range(n):
+            rng_i = synopsis.range_of(i)
+            remaining = 1.0 - point_mass[i]
+            if remaining <= 0.0:
+                continue
+            if rng_i.length <= 0.0:
+                probs[i, _containing_bucket(edges, rng_i.lo)] += remaining
+                continue
+            for j in range(gamma):
+                overlap = (min(rng_i.hi, float(edges[j + 1]))
+                           - max(rng_i.lo, float(edges[j])))
+                if overlap > 0:
+                    probs[i, j] += remaining * overlap / rng_i.length
+        return probs
+
+
+class ReferenceMaxMinProbabilisticAuditor(MaxMinProbabilisticAuditor):
+    """Scalar twin of the serving max-min auditor: every posterior
+    sampler is a :class:`ReferencePosteriorSampler`."""
+
+    def _make_sampler(self, synopsis, seed_dataset=None, gen=None,
+                      checkpoint=None):
+        if seed_dataset is None:
+            seed_dataset = list(self.dataset.values)
+        return ReferencePosteriorSampler(
+            synopsis, initial_dataset=seed_dataset,
+            rng=self._rng if gen is None else gen, checkpoint=checkpoint)
+
+
 def _maxmin_prob(vectorized: bool):
     dataset = Dataset.uniform(8, rng=7, duplicate_free=True)
-    auditor = MaxMinProbabilisticAuditor(
+    cls = (MaxMinProbabilisticAuditor if vectorized
+           else ReferenceMaxMinProbabilisticAuditor)
+    auditor = cls(
         dataset, lam=0.35, gamma=4, delta=0.6, rounds=4,
-        num_outer=3, num_inner=20, rng=13, vectorized=vectorized,
+        num_outer=3, num_inner=20, rng=13,
     )
     return auditor, _query_stream(
         8, 102, [AggregateKind.MAX, AggregateKind.MIN]

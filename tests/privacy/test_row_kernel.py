@@ -116,3 +116,28 @@ def test_out_of_range_value_raises_like_the_reference():
                                           [True, False])
         with pytest.raises(PrivacyParameterError):
             reference(grid, [bad], [3], [True])
+
+
+
+#: Ranges on which the smallest double above ``low`` scales to 0 in
+#: grid units, so no density lies below it.
+UNDERFLOW_RANGES = [(0.0, 250.0), (0.0, 1_000_000.0)]
+
+
+@pytest.mark.parametrize("low, high", UNDERFLOW_RANGES)
+def test_denormal_step_above_low_raises_in_one_predicate_kernel(low, high):
+    grid = IntervalGrid(4, low, high)
+    tiny = float(np.nextafter(low, high))
+    assert (tiny - low) / (high - low) * grid.gamma == 0.0
+    for equality in (True, False):
+        with pytest.raises(PrivacyParameterError):
+            reference(grid, [tiny], [3], [equality])
+
+
+@pytest.mark.parametrize("low, high", UNDERFLOW_RANGES)
+def test_denormal_step_above_low_raises_in_row_kernel(low, high):
+    grid = IntervalGrid(4, low, high)
+    tiny = float(np.nextafter(low, high))
+    with pytest.raises(PrivacyParameterError):
+        max_rows_bucket_probabilities(grid, [0.5 * high, tiny], [3, 3],
+                                      [True, False])

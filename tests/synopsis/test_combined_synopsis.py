@@ -33,6 +33,17 @@ def test_same_value_rule_pins_common_element():
     assert syn.range_of(2).lo == 0.5 and not syn.range_of(2).lo_closed
 
 
+def test_bulk_ranges_equal_per_element_ranges():
+    # Determined, strict-bounded, equality-bounded and free elements.
+    syn = CombinedSynopsis(6, 0.0, 1.0)
+    syn.insert(MAX, {0, 1}, 0.5)
+    syn.insert(MIN, {1, 2}, 0.5)
+    syn.insert(MAX, {3, 4}, 0.9)
+    syn.insert(MIN, {3, 4}, 0.1)
+    assert syn.determined
+    assert syn.ranges() == [syn.range_of(i) for i in range(syn.n)]
+
+
 def test_same_value_disjoint_sets_inconsistent():
     syn = CombinedSynopsis(4, 0.0, 1.0)
     syn.insert(MAX, {0, 1}, 0.5)
